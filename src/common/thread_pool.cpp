@@ -39,6 +39,23 @@ void pool_note_queue_depth(std::size_t depth, bool enqueued) {
   if (enqueued) t->metrics.counter("pool.tasks").increment();
 }
 
+PoolTaskTimer::PoolTaskTimer(std::uint64_t enqueue_ns)
+    : telemetry_(obs::telemetry()) {
+  if (telemetry_ == nullptr) return;
+  start_ns_ = telemetry_->tracer.wall_now_ns();
+  if (enqueue_ns != 0 && start_ns_ >= enqueue_ns) {
+    ns_histogram(telemetry_->metrics, "pool.task_wait.ns")
+        .observe(static_cast<double>(start_ns_ - enqueue_ns));
+  }
+}
+
+PoolTaskTimer::~PoolTaskTimer() {
+  if (telemetry_ == nullptr) return;
+  ns_histogram(telemetry_->metrics, "pool.task_run.ns")
+      .observe(static_cast<double>(telemetry_->tracer.wall_now_ns() -
+                                   start_ns_));
+}
+
 }  // namespace detail
 
 ThreadPool::ThreadPool(std::size_t threads) {
@@ -70,28 +87,22 @@ bool ThreadPool::on_worker_thread() const { return tls_worker_pool == this; }
 void ThreadPool::worker_loop() {
   tls_worker_pool = this;
   for (;;) {
-    Task task;
+    const auto poll_until = std::chrono::steady_clock::now() + kIdlePoll;
+    while (queued_.load(std::memory_order_relaxed) == 0 &&
+           std::chrono::steady_clock::now() < poll_until) {
+      std::this_thread::yield();  // never starve a thread sharing this CPU
+    }
+    std::function<void()> task;
     {
       std::unique_lock<std::mutex> lock(mutex_);
       cv_.wait(lock, [this] { return stop_ || !tasks_.empty(); });
       if (stop_ && tasks_.empty()) return;
       task = std::move(tasks_.front());
       tasks_.pop();
+      queued_.fetch_sub(1, std::memory_order_relaxed);
       detail::pool_note_queue_depth(tasks_.size(), /*enqueued=*/false);
     }
-    obs::Telemetry* t = obs::telemetry();
-    if (t == nullptr) {
-      task.fn();
-      continue;
-    }
-    const std::uint64_t start_ns = t->tracer.wall_now_ns();
-    if (task.enqueue_ns != 0 && start_ns >= task.enqueue_ns) {
-      ns_histogram(t->metrics, "pool.task_wait.ns")
-          .observe(static_cast<double>(start_ns - task.enqueue_ns));
-    }
-    task.fn();
-    ns_histogram(t->metrics, "pool.task_run.ns")
-        .observe(static_cast<double>(t->tracer.wall_now_ns() - start_ns));
+    task();
   }
 }
 

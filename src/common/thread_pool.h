@@ -7,6 +7,8 @@
 // from one set of workers instead of each spinning up its own.
 #pragma once
 
+#include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -19,12 +21,32 @@
 
 namespace eefei {
 
+namespace obs {
+class Telemetry;
+}  // namespace obs
+
 namespace detail {
 // Telemetry hooks, defined in thread_pool.cpp so this header stays free of
 // obs includes.  With telemetry disabled each is a pointer check and
 // nothing else (pool_enqueue_ns returns 0 without reading a clock).
 [[nodiscard]] std::uint64_t pool_enqueue_ns();
 void pool_note_queue_depth(std::size_t depth, bool enqueued);
+
+/// Times one task body into pool.task_wait.ns / pool.task_run.ns.  It
+/// lives INSIDE the packaged task, so the run time is recorded before the
+/// task's future becomes ready: a caller may destroy its Telemetry as soon
+/// as the future (or parallel_for) returns, and no worker touches it after.
+class PoolTaskTimer {
+ public:
+  explicit PoolTaskTimer(std::uint64_t enqueue_ns);
+  ~PoolTaskTimer();
+  PoolTaskTimer(const PoolTaskTimer&) = delete;
+  PoolTaskTimer& operator=(const PoolTaskTimer&) = delete;
+
+ private:
+  obs::Telemetry* telemetry_ = nullptr;  // null: telemetry off at start
+  std::uint64_t start_ns_ = 0;
+};
 }  // namespace detail
 
 class ThreadPool {
@@ -44,13 +66,17 @@ class ThreadPool {
   template <typename F>
   auto submit(F&& f) -> std::future<std::invoke_result_t<F>> {
     using R = std::invoke_result_t<F>;
-    auto task =
-        std::make_shared<std::packaged_task<R()>>(std::forward<F>(f));
-    std::future<R> result = task->get_future();
     const std::uint64_t enqueue_ns = detail::pool_enqueue_ns();
+    auto task = std::make_shared<std::packaged_task<R()>>(
+        [fn = std::forward<F>(f), enqueue_ns]() mutable -> R {
+          const detail::PoolTaskTimer timer(enqueue_ns);
+          return fn();
+        });
+    std::future<R> result = task->get_future();
     {
       const std::lock_guard<std::mutex> lock(mutex_);
-      tasks_.push(Task{[task] { (*task)(); }, enqueue_ns});
+      tasks_.push([task] { (*task)(); });
+      queued_.fetch_add(1, std::memory_order_relaxed);
       detail::pool_note_queue_depth(tasks_.size(), /*enqueued=*/true);
     }
     cv_.notify_one();
@@ -82,12 +108,13 @@ class ThreadPool {
   [[nodiscard]] std::size_t size() const { return workers_.size(); }
 
  private:
-  /// Queued work plus its enqueue timestamp (0 unless telemetry was
-  /// enabled at submit time; feeds the pool.task_wait.ns histogram).
-  struct Task {
-    std::function<void()> fn;
-    std::uint64_t enqueue_ns = 0;
-  };
+  /// How long an idle worker keeps polling the queue before it sleeps on
+  /// the condition variable.  Fork-join callers (a split ModelBank epoch
+  /// dispatches twice per epoch, about a millisecond apart) then find their
+  /// workers still running: a worker woken from sleep can be queued behind
+  /// a busy thread on another CPU and start a scheduler tick late, which
+  /// stalls the whole join.
+  static constexpr std::chrono::microseconds kIdlePoll{200};
 
   void worker_loop();
 
@@ -95,10 +122,12 @@ class ThreadPool {
   [[nodiscard]] bool on_worker_thread() const;
 
   std::vector<std::thread> workers_;
-  std::queue<Task> tasks_;
+  std::queue<std::function<void()>> tasks_;
   std::mutex mutex_;
   std::condition_variable cv_;
   bool stop_ = false;
+  /// Queued task count, readable without the mutex (the idle poll).
+  std::atomic<std::size_t> queued_{0};
 };
 
 }  // namespace eefei

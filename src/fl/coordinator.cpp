@@ -120,8 +120,9 @@ Result<TrainingOutcome> Coordinator::run() {
 
     // Local training — every client trains from ω_t at the round-t lr.
     // Eligible rounds go through the batched ModelBank path (bit-identical
-    // to the serial loop below); the serial path is the reference and the
-    // fallback for mini-batch / FedProx / momentum / MLP configs and K = 1.
+    // to the serial loop below) for any K, K = 1 included; the serial path
+    // is the reference and the fallback for mini-batch / FedProx / momentum
+    // / MLP configs and mixed populations.
     std::vector<LocalTrainResult> updates(selected.size());
     auto train_one = [&](std::size_t i) {
       updates[i] =
@@ -301,7 +302,7 @@ bool Coordinator::train_batched(std::span<const double> global,
                                 std::span<const ClientId> selected,
                                 std::size_t round,
                                 std::vector<LocalTrainResult>& updates) {
-  if (!config_.batched_training || selected.size() < 2) return false;
+  if (!config_.batched_training) return false;
   const ClientConfig& cfg0 = clients_->client(selected[0]).config();
   for (const ClientId id : selected) {
     const Client& client = clients_->client(id);
@@ -325,14 +326,19 @@ bool Coordinator::train_batched(std::span<const double> global,
   const double lr = cfg0.sgd.learning_rate *
                     std::pow(cfg0.sgd.decay, static_cast<double>(round));
 
+  // One scheduling rule.  K ≥ W workers: one contiguous chunk of models
+  // per worker, each in its own bank.  K < W (the paper's K* = 1
+  // included): one bank trains the models in order and splits each
+  // model's epoch across the pool (see ml/model_bank.h).
   const std::size_t k = selected.size();
-  const std::size_t banks =
-      pool_ != nullptr ? std::min(k, pool_->size()) : std::size_t{1};
+  const std::size_t workers = pool_ != nullptr ? pool_->size() : 1;
+  const std::size_t banks = k < workers ? 1 : workers;
+  ThreadPool* split_pool = k < workers ? pool_ : nullptr;
   if (train_banks_.size() < banks) train_banks_.resize(banks);
   if (bank_tasks_.size() < banks) bank_tasks_.resize(banks);
 
-  // One contiguous chunk of models per bank.  Models are independent, so
-  // the partition (and the thread count) cannot change any model's bits.
+  // Models are independent, so the partition (and the thread count)
+  // cannot change any model's bits.
   auto run_chunk = [&](std::size_t b) {
     const std::size_t begin = k * b / banks;
     const std::size_t end = k * (b + 1) / banks;
@@ -347,7 +353,7 @@ bool Coordinator::train_batched(std::span<const double> global,
       task.epochs = config_.local_epochs;
       task.learning_rate = lr;
     }
-    bank.train(global, tasks);
+    bank.train(global, tasks, split_pool);
     for (std::size_t i = begin; i < end; ++i) {
       const ml::ModelBank::Task& task = tasks[i - begin];
       const auto params = bank.params_of(i - begin);
@@ -360,7 +366,7 @@ bool Coordinator::train_batched(std::span<const double> global,
       update.samples_used = task.batch.size();
     }
   };
-  if (pool_ != nullptr && banks > 1) {
+  if (banks > 1) {
     pool_->parallel_for(banks, run_chunk);
   } else {
     for (std::size_t b = 0; b < banks; ++b) run_chunk(b);

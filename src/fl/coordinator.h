@@ -61,9 +61,10 @@ struct CoordinatorConfig {
   /// Autosave a TrainingCheckpoint to the registered sink every this many
   /// completed rounds (0 = off).
   std::size_t checkpoint_every = 0;
-  /// Batched multi-model local training: eligible rounds (K > 1 logistic-
-  /// regression clients on the full-batch FedAvg path) train through
-  /// ml::ModelBank — packed batched SIMD kernels, one arena per worker —
+  /// Batched multi-model local training: eligible rounds (logistic-
+  /// regression clients on the full-batch FedAvg path, any K) train through
+  /// ml::ModelBank — packed batched SIMD kernels; one bank per worker when
+  /// K ≥ workers, else one bank whose epochs are split across the pool —
   /// instead of one Client::train call per model.  Results are bit-identical
   /// to the serial path for any K and thread count (pinned by
   /// tests/test_model_bank.cpp); disable to force the per-client reference.
@@ -164,12 +165,13 @@ class Coordinator {
  private:
   [[nodiscard]] double evaluate_loss(std::span<const double> params) const;
 
-  /// Batched local training for one round: partitions the selected clients
-  /// into one contiguous chunk per worker, each trained by that worker's
-  /// ModelBank.  Returns false — leaving `updates` untouched — when any
-  /// selected client is ineligible (see Client::bank_eligible) or the
-  /// clients' training configs disagree; the caller then runs the serial
-  /// per-client path.
+  /// Batched local training for one round.  K ≥ workers: partitions the
+  /// selected clients into one contiguous chunk per worker, each trained by
+  /// that worker's ModelBank.  K < workers: one bank trains them in order,
+  /// splitting each model's epoch across the pool.  Returns false —
+  /// leaving `updates` untouched — when any selected client is ineligible
+  /// (see Client::bank_eligible) or the clients' training configs
+  /// disagree; the caller then runs the serial per-client path.
   bool train_batched(std::span<const double> global,
                      std::span<const ClientId> selected, std::size_t round,
                      std::vector<LocalTrainResult>& updates);
@@ -202,9 +204,9 @@ class Coordinator {
   ml::ModelBlob round_payload_;
   mutable std::unique_ptr<ml::Model> eval_model_;
   mutable std::vector<ml::Workspace> eval_workspaces_;
-  /// One bank (and task list) per worker for the batched training path,
-  /// reused across rounds so steady-state training is allocation-free
-  /// inside the banks.
+  /// One bank (and task list) per worker for the batched training path —
+  /// bank 0 alone in split rounds — reused across rounds so steady-state
+  /// training is allocation-free inside the banks.
   std::vector<ml::ModelBank> train_banks_;
   std::vector<std::vector<ml::ModelBank::Task>> bank_tasks_;
 };

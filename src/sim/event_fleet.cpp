@@ -1127,6 +1127,11 @@ Result<EventFleetRunResult> EventFleetEngine::run_impl() {
     for (std::size_t i = 0; i < record.selected.size(); ++i) {
       const std::size_t sid = record.selected[i];
       const std::size_t n_k = updates[i].samples_used;
+      // The gateway drains below charge rows in parallel, and the ledger's
+      // touched bitmap packs 64 servers per word: first touch happens here,
+      // serially.  Nothing moves the baseline before the drains, so an
+      // early materialize() copies the same values a lazy one would.
+      result.ledger.materialize(sid);
       if (sys.iot_collection) {
         const auto collected = population_.topology().fleet(sid).collect(n_k);
         if (collected.wasted_energy.value() > 0.0) {

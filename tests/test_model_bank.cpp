@@ -2,7 +2,9 @@
 // training is memcmp-equal to the serial reference — one fl::Client::train
 // call per model — for any K (odd counts included), heterogeneous local
 // sample counts, mixed epoch budgets, every compiled SIMD backend and any
-// coordinator thread count.  The CI scalar-fallback job (-DEEFEI_SIMD=OFF)
+// coordinator thread count — and, for K below the worker count, when one
+// model's epoch is split across a pool (sample-sharded forward, weight-row
+// slab outer products).  The CI scalar-fallback job (-DEEFEI_SIMD=OFF)
 // runs this same file against the scalar table, and EEFEI_SIMD_ISA jobs
 // pin the other backends, so one golden body covers every dispatch flavour.
 #include "ml/model_bank.h"
@@ -11,8 +13,10 @@
 
 #include <cmath>
 #include <cstring>
+#include <string>
 #include <vector>
 
+#include "common/thread_pool.h"
 #include "data/partition.h"
 #include "data/synth_digits.h"
 #include "fl/client.h"
@@ -35,16 +39,16 @@ struct BankWorld {
                      std::vector<std::size_t> limits = {0, 13, 1, 37, 24, 5,
                                                         30},
                      Activation activation = Activation::kSoftmax,
-                     double l2_lambda = 0.0) {
+                     double l2_lambda = 0.0, std::size_t image_side = 12) {
     data::SynthDigitsConfig dcfg;
-    dcfg.image_side = 12;
+    dcfg.image_side = image_side;
     dcfg.seed = 41;
     data::SynthDigits gen(dcfg);
     train = gen.generate(servers * 40);
     test = gen.generate(200);
     Rng rng(42);
     shards = data::partition_iid(train, servers, rng).value();
-    ccfg.model.input_dim = 144;
+    ccfg.model.input_dim = image_side * image_side;
     ccfg.model.num_classes = 10;
     ccfg.model.activation = activation;
     ccfg.model.l2_lambda = l2_lambda;
@@ -67,8 +71,10 @@ std::vector<double> make_global(std::size_t n, std::uint64_t seed) {
 }
 
 // Serial reference vs bank, bit-for-bit: parameters AND both loss outputs.
+// With a pool of more workers than models, every model's epoch is split.
 void expect_bank_matches_serial(BankWorld& w, std::size_t epochs,
-                                std::size_t round) {
+                                std::size_t round,
+                                ThreadPool* pool = nullptr) {
   const std::size_t dim = w.ccfg.model.parameter_count();
   const auto global = make_global(dim, 7 + round);
   const double lr = w.ccfg.sgd.learning_rate *
@@ -87,7 +93,7 @@ void expect_bank_matches_serial(BankWorld& w, std::size_t epochs,
     tasks[i].epochs = epochs;
     tasks[i].learning_rate = lr;
   }
-  bank.train(global, tasks);
+  bank.train(global, tasks, pool);
 
   for (std::size_t i = 0; i < w.clients.size(); ++i) {
     const auto params = bank.params_of(i);
@@ -95,7 +101,8 @@ void expect_bank_matches_serial(BankWorld& w, std::size_t epochs,
     EXPECT_EQ(0, std::memcmp(params.data(), serial[i].params.data(),
                              params.size() * sizeof(double)))
         << "model " << i << " diverged (n_k=" << tasks[i].batch.size()
-        << ", ISA " << simd::isa_name(simd::active_isa()) << ")";
+        << ", ISA " << simd::isa_name(simd::active_isa()) << ", pool "
+        << (pool != nullptr ? pool->size() : 0) << ")";
     EXPECT_EQ(tasks[i].initial_loss, serial[i].initial_loss) << "model " << i;
     EXPECT_EQ(tasks[i].final_loss, serial[i].final_loss) << "model " << i;
   }
@@ -187,6 +194,95 @@ TEST(ModelBank, RepeatedRoundsReuseArenasAndStayIdentical) {
   }
 }
 
+// Split epochs: K below the worker count, so one bank splits every model's
+// epoch across the pool.  Worlds hold exactly K clients.
+TEST(ModelBank, SplitEpochMatchesSerialForEveryPoolSizeAndSmallK) {
+  for (const std::size_t threads : {std::size_t{2}, std::size_t{3},
+                                    std::size_t{4}, std::size_t{8}}) {
+    ThreadPool pool(threads);
+    for (std::size_t k = 1; k <= 3 && k < threads; ++k) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   " K=" + std::to_string(k));
+      BankWorld w(k, {0, 29, 37});
+      expect_bank_matches_serial(w, /*epochs=*/5, /*round=*/3, &pool);
+    }
+  }
+}
+
+TEST(ModelBank, SplitEpochWithTailRowsMatchesSerial) {
+  // d = 11² = 121: d % 4 = 1, so the last slab carries a tail row.
+  for (const std::size_t threads : {std::size_t{3}, std::size_t{4}}) {
+    ThreadPool pool(threads);
+    BankWorld w(2, {0, 17}, Activation::kSoftmax, 0.0, /*image_side=*/11);
+    ASSERT_NE(w.ccfg.model.input_dim % simd::kLanes, 0u);
+    expect_bank_matches_serial(w, /*epochs=*/4, /*round=*/1, &pool);
+  }
+}
+
+TEST(ModelBank, SplitEpochWithFewerSamplesThanWorkersMatchesSerial) {
+  // n_k ∈ {1, 2, 3}: some forward shards would be empty.
+  ThreadPool pool8(8);
+  BankWorld one(1, {1});
+  expect_bank_matches_serial(one, /*epochs=*/3, /*round=*/0, &pool8);
+  BankWorld few(3, {1, 2, 3});
+  expect_bank_matches_serial(few, /*epochs=*/3, /*round=*/0, &pool8);
+  ThreadPool pool4(4);
+  expect_bank_matches_serial(few, /*epochs=*/3, /*round=*/0, &pool4);
+}
+
+TEST(ModelBank, SplitEpochSigmoidHeadAndL2MatchSerial) {
+  ThreadPool pool(4);
+  BankWorld w(2, {0, 23}, Activation::kSigmoid, 1e-3);
+  expect_bank_matches_serial(w, /*epochs=*/5, /*round=*/2, &pool);
+}
+
+TEST(ModelBank, SplitEpochZeroEpochsMatchesSerial) {
+  // E = 0: only the final evaluation runs, and initial == final.
+  ThreadPool pool(4);
+  BankWorld w(1, {0});
+  expect_bank_matches_serial(w, /*epochs=*/0, /*round=*/0, &pool);
+}
+
+TEST(ModelBank, SplitRoundsReuseArenasAndStayIdentical) {
+  // One bank across rounds alternating split (two pool sizes) and serial
+  // schedules, shapes and the pack cache: nothing a previous round left
+  // in the arenas may leak into the bits.
+  BankWorld big(3, {0, 31, 40});
+  BankWorld small(1, {7});
+  const std::size_t dim = big.ccfg.model.parameter_count();
+  ThreadPool pool4(4);
+  ThreadPool pool3(3);
+  ModelBank bank;
+  bank.configure(big.ccfg.model.lr_config());
+  int pass = 0;
+  for (const bool cache : {false, true}) {
+    bank.set_pack_cache(cache);
+    for (ThreadPool* pool : {&pool4, static_cast<ThreadPool*>(nullptr),
+                             &pool3, &pool4}) {
+      for (BankWorld* w : {&big, &small}) {
+        const auto global = make_global(dim, 11 + pass++);
+        std::vector<ModelBank::Task> tasks(w->clients.size());
+        for (std::size_t i = 0; i < w->clients.size(); ++i) {
+          tasks[i].batch = w->clients[i].local_batch();
+          tasks[i].epochs = 3;
+          tasks[i].learning_rate = 0.05;
+        }
+        bank.train(global, tasks, pool);
+        for (std::size_t i = 0; i < w->clients.size(); ++i) {
+          const auto serial = w->clients[i].train(global, 3, 0);
+          const auto params = bank.params_of(i);
+          EXPECT_EQ(0, std::memcmp(params.data(), serial.params.data(),
+                                   params.size() * sizeof(double)))
+              << "pass " << pass << " K=" << w->clients.size() << " model "
+              << i << " pool " << (pool != nullptr ? pool->size() : 0)
+              << " cache " << cache;
+          EXPECT_EQ(tasks[i].final_loss, serial.final_loss);
+        }
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace eefei::ml
 
@@ -221,9 +317,10 @@ struct CoordWorld {
   }
 };
 
-TrainingOutcome run_world(CoordWorld& w, bool batched, std::size_t threads) {
+TrainingOutcome run_world(CoordWorld& w, bool batched, std::size_t threads,
+                          std::size_t clients_per_round = 7) {
   CoordinatorConfig cfg;
-  cfg.clients_per_round = 7;  // odd K through the bank partition
+  cfg.clients_per_round = clients_per_round;  // default: odd K, chunked
   cfg.local_epochs = 4;
   cfg.max_rounds = 6;
   cfg.threads = threads;
@@ -253,6 +350,30 @@ TEST(ModelBank, CoordinatorBatchedMatchesSerialForAnyThreadCount) {
     for (std::size_t t = 0; t < reference.record.rounds(); ++t) {
       EXPECT_EQ(batched.record.round(t).global_loss,
                 reference.record.round(t).global_loss)
+          << "threads=" << threads << " round " << t;
+    }
+  }
+}
+
+TEST(ModelBank, CoordinatorLoneClientBatchedMatchesSerial) {
+  // The paper's K* = 1: one bank without a pool at threads = 1, one bank
+  // splitting each epoch across the pool at threads = 4.
+  CoordWorld w;
+  const auto reference = run_world(w, /*batched=*/false, /*threads=*/1, 1);
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    const auto batched = run_world(w, /*batched=*/true, threads, 1);
+    ASSERT_EQ(batched.final_params.size(), reference.final_params.size());
+    EXPECT_EQ(0, std::memcmp(batched.final_params.data(),
+                             reference.final_params.data(),
+                             reference.final_params.size() * sizeof(double)))
+        << "threads=" << threads;
+    ASSERT_EQ(batched.record.rounds(), reference.record.rounds());
+    for (std::size_t t = 0; t < reference.record.rounds(); ++t) {
+      EXPECT_EQ(batched.record.round(t).global_loss,
+                reference.record.round(t).global_loss)
+          << "threads=" << threads << " round " << t;
+      EXPECT_EQ(batched.record.round(t).mean_local_loss,
+                reference.record.round(t).mean_local_loss)
           << "threads=" << threads << " round " << t;
     }
   }

@@ -97,6 +97,32 @@ TEST(ThreadPool, QueueMetricsCountSubmittedTasks) {
   EXPECT_EQ(snapshot.gauge_value("pool.queue_depth"), 0.0);
 }
 
+TEST(ThreadPool, TelemetryMayDieAsSoonAsParallelForReturns) {
+  // Regression: workers recorded pool.task_run.ns AFTER running the task,
+  // i.e. after its future was made ready, so a caller that destroyed its
+  // Telemetry straight after parallel_for returned raced a late histogram
+  // write into freed memory (flaky crashes in traced tests).  The run time
+  // is now recorded inside the task, before the result is published: by
+  // the time parallel_for returns every chunk's run sample is in, and no
+  // worker touches the telemetry afterwards.  Run under --gtest_repeat
+  // and the sanitizers.
+  ThreadPool pool(4);
+  constexpr std::size_t kItems = 8;  // one chunk per worker
+  const std::size_t chunks = ThreadPool::plan_chunks(kItems, pool.size());
+  for (int rep = 0; rep < 200; ++rep) {
+    obs::Telemetry telemetry;
+    std::uint64_t run_samples = 0;
+    {
+      const obs::TelemetryScope scope(telemetry);
+      pool.parallel_for(kItems, [](std::size_t) {});
+      for (const auto& h : telemetry.metrics.snapshot().histograms) {
+        if (h.name == "pool.task_run.ns") run_samples = h.count;
+      }
+    }
+    ASSERT_EQ(run_samples, chunks) << "rep " << rep;
+  }  // telemetry destroyed here, with the workers still alive
+}
+
 TEST(ThreadPool, PlanChunksNeverProducesEmptyChunks) {
   // Regression: chunks = min(n, 4·workers) queued one single-index task per
   // item whenever workers < n < 4·workers — for a handful of ModelBank

@@ -4,11 +4,14 @@
 // operator new provides the evidence; it is linked into this binary only.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cstdlib>
+#include <functional>
 #include <new>
 #include <vector>
 
+#include "common/thread_pool.h"
 #include "data/synth_digits.h"
 #include "ml/logistic_regression.h"
 #include "ml/mlp.h"
@@ -148,6 +151,38 @@ TEST(WorkspaceAlloc, ModelBankSteadyStateTrainingIsAllocationFree) {
   }
   EXPECT_EQ(0u, steady_state_allocations(
                     [&] { bank.train(global, tasks); }));
+}
+
+TEST(WorkspaceAlloc, ModelBankSplitRoundsAllocateOnlyForPoolDispatch) {
+  // K = 1 below the pool size: every epoch is split across the workers.
+  // Once warm, the bank's arenas (packed rows, slab sub-rows, slab plan,
+  // argument batches) must not touch the heap; the only traffic left is
+  // the pool's per-dispatch bookkeeping (futures, queued closures), which
+  // is exactly that of the same number of bare pool dispatches — one for
+  // packing, two per epoch, one for the final evaluation.
+  const auto ds = make_batch(160);
+  LogisticRegressionConfig cfg;
+  cfg.input_dim = 144;
+  ModelBank bank;
+  bank.configure(cfg);
+  ThreadPool pool(4);
+  const std::vector<double> global(144 * 10 + 10, 0.05);
+  constexpr std::size_t kEpochs = 3;
+  std::vector<ModelBank::Task> tasks(1);
+  tasks[0].batch = ds.view();
+  tasks[0].epochs = kEpochs;
+  tasks[0].learning_rate = 0.05;
+
+  const std::size_t bank_allocs =
+      steady_state_allocations([&] { bank.train(global, tasks, &pool); });
+  std::array<double, 4> sink{};  // one slot per worker index
+  const auto body = [&](std::size_t w) { sink[w] += 1.0; };
+  const std::size_t dispatch_allocs = steady_state_allocations([&] {
+    for (std::size_t i = 0; i < 2 * kEpochs + 2; ++i) {
+      pool.parallel_for(pool.size(), std::cref(body));
+    }
+  });
+  EXPECT_EQ(bank_allocs, dispatch_allocs);
 }
 
 TEST(WorkspaceAlloc, GrowingBatchReallocatesOnlyOnGrowth) {
