@@ -83,6 +83,14 @@ class Rng {
     return mean + stddev * normal();
   }
 
+  /// Advances the stream exactly as one normal() draw does, without the
+  /// transcendental math.
+  void discard_normal() {
+    while (uniform() <= 1e-300) {
+    }
+    next();
+  }
+
   /// Bernoulli draw with success probability p.
   bool bernoulli(double p) { return uniform() < p; }
 

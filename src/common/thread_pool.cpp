@@ -82,6 +82,14 @@ ThreadPool& ThreadPool::shared() {
   return pool;
 }
 
+ThreadPool* ThreadPool::acquire(std::size_t threads,
+                                std::unique_ptr<ThreadPool>& owned) {
+  if (threads <= 1) return nullptr;
+  if (threads == shared().size()) return &shared();
+  if (!owned) owned = std::make_unique<ThreadPool>(threads);
+  return owned.get();
+}
+
 bool ThreadPool::on_worker_thread() const { return tls_worker_pool == this; }
 
 void ThreadPool::worker_loop() {

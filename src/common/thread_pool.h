@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <functional>
 #include <future>
+#include <memory>
 #include <mutex>
 #include <queue>
 #include <thread>
@@ -61,6 +62,13 @@ class ThreadPool {
   /// Lazily-created process-wide pool sized to hardware_concurrency.
   /// Never destroyed before main() returns; safe to call from any thread.
   [[nodiscard]] static ThreadPool& shared();
+
+  /// The pool a component configured for `threads` workers runs on: null
+  /// (run serially) when threads <= 1, shared() when it has exactly that
+  /// many workers, else the pool in `owned`, created there on first use so
+  /// the owner reuses it across calls.
+  [[nodiscard]] static ThreadPool* acquire(std::size_t threads,
+                                           std::unique_ptr<ThreadPool>& owned);
 
   /// Enqueues a task; the returned future rethrows any task exception.
   template <typename F>

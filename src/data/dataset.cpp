@@ -1,8 +1,18 @@
 #include "data/dataset.h"
 
 #include <cassert>
+#include <utility>
 
 namespace eefei::data {
+
+Dataset::Dataset(std::size_t feature_dim, std::size_t num_classes,
+                 std::vector<double> features, std::vector<int> labels)
+    : feature_dim_(feature_dim),
+      num_classes_(num_classes),
+      features_(std::move(features)),
+      labels_(std::move(labels)) {
+  assert(features_.size() == labels_.size() * feature_dim_);
+}
 
 void Dataset::reserve(std::size_t n) {
   features_.reserve(n * feature_dim_);

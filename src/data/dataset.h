@@ -16,6 +16,10 @@ class Dataset {
   Dataset() = default;
   Dataset(std::size_t feature_dim, std::size_t num_classes)
       : feature_dim_(feature_dim), num_classes_(num_classes) {}
+  /// Adopts row-major `features` already filled in place (one row of
+  /// feature_dim values per entry of `labels`).
+  Dataset(std::size_t feature_dim, std::size_t num_classes,
+          std::vector<double> features, std::vector<int> labels);
 
   void reserve(std::size_t n);
   /// Appends one example; features.size() must equal feature_dim().

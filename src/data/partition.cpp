@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <span>
+
+#include "common/thread_pool.h"
 
 namespace eefei::data {
 
@@ -15,10 +18,25 @@ std::vector<std::size_t> shuffled_indices(std::size_t n, Rng& rng) {
   return idx;
 }
 
+/// One Shard per index list in `parts`, the row copies spread over `pool`.
+template <class Parts>
+std::vector<Shard> make_shards(const Dataset& ds, const Parts& parts,
+                               ThreadPool* pool) {
+  std::vector<Shard> shards(parts.size());
+  auto build = [&](std::size_t p) { shards[p] = Shard(ds, parts[p]); };
+  if (pool != nullptr) {
+    pool->parallel_for(parts.size(), build);
+  } else {
+    for (std::size_t p = 0; p < parts.size(); ++p) build(p);
+  }
+  return shards;
+}
+
 }  // namespace
 
 Result<std::vector<Shard>> partition_iid(const Dataset& ds,
-                                         std::size_t num_parts, Rng& rng) {
+                                         std::size_t num_parts, Rng& rng,
+                                         ThreadPool* pool) {
   if (num_parts == 0) {
     return Error::invalid_argument("partition_iid: zero parts");
   }
@@ -27,19 +45,18 @@ Result<std::vector<Shard>> partition_iid(const Dataset& ds,
   }
   const auto idx = shuffled_indices(ds.size(), rng);
   const std::size_t per = ds.size() / num_parts;
-  std::vector<Shard> shards;
-  shards.reserve(num_parts);
+  std::vector<std::span<const std::size_t>> parts;
+  parts.reserve(num_parts);
   for (std::size_t p = 0; p < num_parts; ++p) {
-    shards.emplace_back(
-        ds, std::span<const std::size_t>(idx.data() + p * per, per));
+    parts.emplace_back(idx.data() + p * per, per);
   }
-  return shards;
+  return make_shards(ds, parts, pool);
 }
 
 Result<std::vector<Shard>> partition_shards(const Dataset& ds,
                                             std::size_t num_parts,
                                             std::size_t shards_per_client,
-                                            Rng& rng) {
+                                            Rng& rng, ThreadPool* pool) {
   if (num_parts == 0 || shards_per_client == 0) {
     return Error::invalid_argument("partition_shards: zero parts/shards");
   }
@@ -61,10 +78,9 @@ Result<std::vector<Shard>> partition_shards(const Dataset& ds,
   std::iota(shard_order.begin(), shard_order.end(), std::size_t{0});
   rng.shuffle(shard_order);
 
-  std::vector<Shard> result;
-  result.reserve(num_parts);
+  std::vector<std::vector<std::size_t>> assignment(num_parts);
   for (std::size_t p = 0; p < num_parts; ++p) {
-    std::vector<std::size_t> mine;
+    std::vector<std::size_t>& mine = assignment[p];
     mine.reserve(shards_per_client * shard_size);
     for (std::size_t s = 0; s < shards_per_client; ++s) {
       const std::size_t shard_id = shard_order[p * shards_per_client + s];
@@ -72,14 +88,14 @@ Result<std::vector<Shard>> partition_shards(const Dataset& ds,
         mine.push_back(idx[shard_id * shard_size + i]);
       }
     }
-    result.emplace_back(ds, mine);
   }
-  return result;
+  return make_shards(ds, assignment, pool);
 }
 
 Result<std::vector<Shard>> partition_dirichlet(const Dataset& ds,
                                                std::size_t num_parts,
-                                               double alpha, Rng& rng) {
+                                               double alpha, Rng& rng,
+                                               ThreadPool* pool) {
   if (num_parts == 0) {
     return Error::invalid_argument("partition_dirichlet: zero parts");
   }
@@ -125,13 +141,8 @@ Result<std::vector<Shard>> partition_dirichlet(const Dataset& ds,
     }
   }
 
-  std::vector<Shard> shards;
-  shards.reserve(num_parts);
-  for (auto& mine : assignment) {
-    rng.shuffle(mine);
-    shards.emplace_back(ds, mine);
-  }
-  return shards;
+  for (auto& mine : assignment) rng.shuffle(mine);
+  return make_shards(ds, assignment, pool);
 }
 
 double label_skew(const std::vector<Shard>& shards, std::size_t num_classes) {

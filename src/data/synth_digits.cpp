@@ -5,6 +5,9 @@
 #include <cassert>
 #include <cmath>
 #include <string>
+#include <utility>
+
+#include "common/thread_pool.h"
 
 namespace eefei::data {
 
@@ -97,6 +100,16 @@ double point_segment_distance2(double px, double py,
   return ex * ex + ey * ey;
 }
 
+// Pixel-index range [lo, hi) holding every pixel whose centre i + 0.5 can
+// lie in [a, b], clipped to the canvas.  Rounding of a − 0.5 and b − 0.5 is
+// monotone, so no such pixel is left out; callers keep the exact bbox test.
+std::pair<std::size_t, std::size_t> pixel_range(double a, double b,
+                                                double fside) {
+  const double lo = std::clamp(std::floor(a - 0.5), 0.0, fside);
+  const double hi = std::clamp(std::floor(b - 0.5) + 1.0, 0.0, fside);
+  return {static_cast<std::size_t>(lo), static_cast<std::size_t>(hi)};
+}
+
 }  // namespace
 
 SynthDigits::SynthDigits(SynthDigitsConfig config)
@@ -104,7 +117,7 @@ SynthDigits::SynthDigits(SynthDigitsConfig config)
   assert(config_.image_side >= 8);
 }
 
-void SynthDigits::render(int label, std::span<double> out) {
+void SynthDigits::draw_geometry(int label, std::span<double> out) {
   assert(label >= 0 && static_cast<std::size_t>(label) < kNumClasses);
   const std::size_t side = config_.image_side;
   assert(out.size() == side * side);
@@ -161,53 +174,99 @@ void SynthDigits::render(int label, std::span<double> out) {
     segs.push_back(ps);
   }
 
-  // Rasterize: per-pixel intensity from the closest stroke, then noise.
-  // Segments whose expanded bbox misses the pixel are ≥ cutoff away, so
-  // skipping them cannot change the clamped intensity.
-  for (std::size_t yy = 0; yy < side; ++yy) {
-    const double py = static_cast<double>(yy) + 0.5;
-    for (std::size_t xx = 0; xx < side; ++xx) {
-      const double px = static_cast<double>(xx) + 0.5;
-      double dmin2 = cutoff2;
-      for (const auto& s : segs) {
+  // Squared distance to the closest stroke, scattered segment by segment
+  // over each segment's clipped bbox.  Segments whose bbox misses a pixel
+  // are ≥ cutoff away, so skipping them cannot change the clamped
+  // intensity; and min over non-negative distances is the same for any
+  // update order, so this equals a per-pixel loop over all segments.
+  std::fill(out.begin(), out.end(), cutoff2);
+  for (const auto& s : segs) {
+    const auto [x0, x1] = pixel_range(s.x_lo, s.x_hi, fside);
+    const auto [y0, y1] = pixel_range(s.y_lo, s.y_hi, fside);
+    for (std::size_t yy = y0; yy < y1; ++yy) {
+      const double py = static_cast<double>(yy) + 0.5;
+      double* row = out.data() + yy * side;
+      for (std::size_t xx = x0; xx < x1; ++xx) {
+        const double px = static_cast<double>(xx) + 0.5;
         if (px < s.x_lo || px > s.x_hi || py < s.y_lo || py > s.y_hi) {
           continue;
         }
-        dmin2 = std::min(dmin2, point_segment_distance2(px, py, s));
+        row[xx] = std::min(row[xx], point_segment_distance2(px, py, s));
       }
-      double v = 0.0;
-      if (dmin2 < cutoff2) {
-        v = std::clamp(
-            (thickness - std::sqrt(dmin2)) / softness + 0.5, 0.0, 1.0);
-      }
-      if (v > 0.0 && rng_.bernoulli(config_.dropout_prob)) v = 0.0;
-      v += rng_.normal(0.0, config_.pixel_noise_stddev);
-      out[yy * side + xx] = std::clamp(v, 0.0, 1.0);
     }
   }
+  for (double& p : out) {
+    double v = 0.0;
+    if (p < cutoff2) {
+      v = std::clamp((thickness - std::sqrt(p)) / softness + 0.5, 0.0, 1.0);
+    }
+    p = v;
+  }
 }
 
-Dataset SynthDigits::generate(std::size_t n) {
-  Dataset ds(config_.feature_dim(), kNumClasses);
-  ds.reserve(n);
-  std::vector<double> buf(config_.feature_dim());
-  for (std::size_t i = 0; i < n; ++i) {
-    const int label = static_cast<int>(rng_.uniform_index(kNumClasses));
-    render(label, buf);
-    ds.add(buf, label);
+void SynthDigits::add_noise(Rng& rng, std::span<double> pixels) const {
+  for (double& p : pixels) {
+    double v = p;
+    if (v > 0.0 && rng.bernoulli(config_.dropout_prob)) v = 0.0;
+    v += rng.normal(0.0, config_.pixel_noise_stddev);
+    p = std::clamp(v, 0.0, 1.0);
   }
-  return ds;
 }
 
-Dataset SynthDigits::generate_class(std::size_t n, int label) {
-  Dataset ds(config_.feature_dim(), kNumClasses);
-  ds.reserve(n);
-  std::vector<double> buf(config_.feature_dim());
-  for (std::size_t i = 0; i < n; ++i) {
-    render(label, buf);
-    ds.add(buf, label);
+void SynthDigits::skip_noise(std::span<const double> pixels) {
+  for (const double v : pixels) {
+    if (v > 0.0) rng_.next();  // the dropout bernoulli's one uniform
+    rng_.discard_normal();
   }
-  return ds;
+}
+
+void SynthDigits::render(int label, std::span<double> out) {
+  draw_geometry(label, out);
+  add_noise(rng_, out);
+}
+
+Dataset SynthDigits::generate_rows(std::size_t n, int label,
+                                   ThreadPool* pool) {
+  const std::size_t dim = config_.feature_dim();
+  std::vector<double> features(n * dim);
+  std::vector<int> labels(n);
+  auto row = [&](std::size_t i) {
+    return std::span<double>(features.data() + i * dim, dim);
+  };
+  // With a pool: pass 1 (this loop, serial) makes every draw before each
+  // image's noise in stream order, saving the stream where the noise starts
+  // and stepping past it; pass 2 adds each image's noise in parallel.
+  const bool two_pass = pool != nullptr && pool->size() > 1;
+  std::vector<Rng> noise_rng;
+  if (two_pass) noise_rng.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    labels[i] = label >= 0 ? label
+                           : static_cast<int>(rng_.uniform_index(kNumClasses));
+    draw_geometry(labels[i], row(i));
+    if (two_pass) {
+      noise_rng.push_back(rng_);
+      skip_noise(row(i));
+    } else {
+      add_noise(rng_, row(i));
+    }
+  }
+  if (two_pass) {
+    pool->parallel_for(n, [&](std::size_t i) {
+      Rng rng = noise_rng[i];
+      add_noise(rng, row(i));
+    });
+  }
+  return Dataset(dim, kNumClasses, std::move(features), std::move(labels));
+}
+
+Dataset SynthDigits::generate(std::size_t n, ThreadPool* pool) {
+  return generate_rows(n, -1, pool);
+}
+
+Dataset SynthDigits::generate_class(std::size_t n, int label,
+                                    ThreadPool* pool) {
+  assert(label >= 0);
+  return generate_rows(n, label, pool);
 }
 
 std::string ascii_art(std::span<const double> image, std::size_t side) {

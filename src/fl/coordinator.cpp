@@ -75,7 +75,8 @@ Result<TrainingOutcome> Coordinator::run() {
   }
 
   ml::Model& evaluator = eval_model();
-  ThreadPool* pool = acquire_pool();
+  pool_ = ThreadPool::acquire(config_.threads, owned_pool_);
+  ThreadPool* pool = pool_;
 
   // Host-side wall-time distributions, resolved once per run.  Null when
   // telemetry is off; the clock reads below are gated on these handles, so
@@ -381,20 +382,6 @@ double Coordinator::evaluate_loss(std::span<const double> params) const {
   return ml::evaluate_sharded(model, test_set_->view(), pool_,
                               eval_workspaces_)
       .loss;
-}
-
-ThreadPool* Coordinator::acquire_pool() {
-  if (config_.threads <= 1) {
-    pool_ = nullptr;
-  } else if (pool_ == nullptr) {
-    if (config_.threads == ThreadPool::shared().size()) {
-      pool_ = &ThreadPool::shared();
-    } else {
-      owned_pool_ = std::make_unique<ThreadPool>(config_.threads);
-      pool_ = owned_pool_.get();
-    }
-  }
-  return pool_;
 }
 
 ml::Model& Coordinator::eval_model() const {

@@ -176,11 +176,6 @@ class Coordinator {
                      std::span<const ClientId> selected, std::size_t round,
                      std::vector<LocalTrainResult>& updates);
 
-  /// Pool for this config's thread count: null for serial, the shared
-  /// process-wide pool when sizes match, else a lazily-created pool owned
-  /// by (and reused across run() calls of) this coordinator.
-  [[nodiscard]] ThreadPool* acquire_pool();
-
   /// Evaluation model matching the clients' spec, created once and reused
   /// by every evaluation (run() rounds and evaluate_loss()).
   [[nodiscard]] ml::Model& eval_model() const;

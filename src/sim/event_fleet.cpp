@@ -111,24 +111,10 @@ Status EventFleetEngine::prepare() {
   PopulationConfig pop = population_config_for(config_.system);
   pop.data_pool_shards = config_.data_pool_shards;
   pop.materialize_world = !config_.virtual_population;
-  if (const auto st = population_.build(pop); !st.ok()) return st;
+  pool_ = ThreadPool::acquire(config_.system.fl.threads, owned_pool_);
+  if (const auto st = population_.build(pop, pool_); !st.ok()) return st;
   prepared_ = true;
   return Status::success();
-}
-
-ThreadPool* EventFleetEngine::acquire_pool() {
-  const std::size_t threads = config_.system.fl.threads;
-  if (threads <= 1) {
-    pool_ = nullptr;
-  } else if (pool_ == nullptr) {
-    if (threads == ThreadPool::shared().size()) {
-      pool_ = &ThreadPool::shared();
-    } else {
-      owned_pool_ = std::make_unique<ThreadPool>(threads);
-      pool_ = owned_pool_.get();
-    }
-  }
-  return pool_;
 }
 
 void EventFleetEngine::for_each_server_sharded(
@@ -165,7 +151,6 @@ Result<EventFleetRunResult> EventFleetEngine::run() {
 template <class Q>
 Result<EventFleetRunResult> EventFleetEngine::run_impl() {
   if (const auto st = prepare(); !st.ok()) return st.error();
-  (void)acquire_pool();
   const FeiSystemConfig& sys = config_.system;
   const std::size_t n_servers = sys.num_servers;
   const bool faults = fault_injection_active();

@@ -202,7 +202,6 @@ class EventFleetEngine {
   }
 
   [[nodiscard]] Status validate() const;
-  [[nodiscard]] ThreadPool* acquire_pool();
   void for_each_server_sharded(const std::function<void(std::size_t)>& fn);
 
   /// The whole simulation, parameterized over the typed event scheduler
@@ -216,6 +215,7 @@ class EventFleetEngine {
   bool prepared_ = false;
   Population population_;
   std::unique_ptr<ThreadPool> owned_pool_;
+  /// Worker pool for system.fl.threads (null = serial), set by prepare().
   ThreadPool* pool_ = nullptr;
 };
 

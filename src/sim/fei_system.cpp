@@ -62,7 +62,12 @@ PopulationConfig FeiSystem::population_config() const {
 
 Status FeiSystem::prepare() {
   if (prepared_) return Status::success();
-  if (const auto st = population_.build(population_config()); !st.ok()) {
+  // The coordinator acquires its own pool per run(); this one only lives
+  // through the build.
+  std::unique_ptr<ThreadPool> owned_pool;
+  ThreadPool* pool = ThreadPool::acquire(config_.fl.threads, owned_pool);
+  if (const auto st = population_.build(population_config(), pool);
+      !st.ok()) {
     return st;
   }
   prepared_ = true;

@@ -31,24 +31,10 @@ Status FleetEngine::prepare() {
   if (prepared_) return Status::success();
   PopulationConfig pop = population_config_for(config_.system);
   pop.data_pool_shards = config_.data_pool_shards;
-  if (const auto st = population_.build(pop); !st.ok()) return st;
+  pool_ = ThreadPool::acquire(config_.system.fl.threads, owned_pool_);
+  if (const auto st = population_.build(pop, pool_); !st.ok()) return st;
   prepared_ = true;
   return Status::success();
-}
-
-ThreadPool* FleetEngine::acquire_pool() {
-  const std::size_t threads = config_.system.fl.threads;
-  if (threads <= 1) {
-    pool_ = nullptr;
-  } else if (pool_ == nullptr) {
-    if (threads == ThreadPool::shared().size()) {
-      pool_ = &ThreadPool::shared();
-    } else {
-      owned_pool_ = std::make_unique<ThreadPool>(threads);
-      pool_ = owned_pool_.get();
-    }
-  }
-  return pool_;
 }
 
 void FleetEngine::for_each_server_sharded(
@@ -70,7 +56,6 @@ void FleetEngine::for_each_server_sharded(
 
 Result<FleetRunResult> FleetEngine::run() {
   if (const auto st = prepare(); !st.ok()) return st.error();
-  (void)acquire_pool();
   const FeiSystemConfig& sys = config_.system;
   const std::size_t n_servers = sys.num_servers;
 

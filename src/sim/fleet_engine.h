@@ -125,10 +125,6 @@ class FleetEngine {
            sys.round_deadline.value() > 0.0 || sys.crashes.enabled();
   }
 
-  /// Pool for the O(N) sharded passes; matches the coordinator's sizing
-  /// rules (null = serial, shared() when sizes agree, else owned).
-  [[nodiscard]] ThreadPool* acquire_pool();
-
   /// Applies fn(server) for every server, sharded `shard_size` at a time
   /// across the pool.  `fn` must only touch state owned by that server.
   void for_each_server_sharded(const std::function<void(std::size_t)>& fn);
@@ -137,6 +133,7 @@ class FleetEngine {
   bool prepared_ = false;
   Population population_;
   std::unique_ptr<ThreadPool> owned_pool_;
+  /// Worker pool for system.fl.threads (null = serial), set by prepare().
   ThreadPool* pool_ = nullptr;
 };
 

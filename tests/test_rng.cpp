@@ -94,6 +94,15 @@ TEST(Rng, NormalShifted) {
   EXPECT_NEAR(mean, 10.0, 0.1);
 }
 
+TEST(Rng, DiscardNormalAdvancesLikeNormal) {
+  Rng drawn(2024), skipped(2024);
+  for (int i = 0; i < 1000; ++i) {
+    (void)drawn.normal();
+    skipped.discard_normal();
+  }
+  EXPECT_EQ(drawn.next(), skipped.next());
+}
+
 TEST(Rng, BernoulliFrequency) {
   Rng rng(13);
   int hits = 0;

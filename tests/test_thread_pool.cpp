@@ -4,6 +4,7 @@
 
 #include <array>
 #include <atomic>
+#include <memory>
 #include <numeric>
 #include <stdexcept>
 #include <vector>
@@ -154,7 +155,9 @@ TEST(ThreadPool, PlanChunksNeverProducesEmptyChunks) {
       if (n > workers && n < workers * 4) {
         EXPECT_EQ(chunks, workers) << "n=" << n << " workers=" << workers;
       }
-      if (n >= workers * 4) EXPECT_EQ(chunks, workers * 4);
+      if (n >= workers * 4) {
+        EXPECT_EQ(chunks, workers * 4);
+      }
     }
   }
   // Defensive: a zero-worker plan still yields a runnable (inline) chunk.
@@ -168,6 +171,24 @@ TEST(ThreadPool, SmallParallelForCoversAllIndicesOnce) {
   std::array<std::atomic<int>, kN> hits{};
   pool.parallel_for(kN, [&](std::size_t i) { hits[i].fetch_add(1); });
   for (std::size_t i = 0; i < kN; ++i) EXPECT_EQ(hits[i].load(), 1);
+}
+
+TEST(ThreadPool, AcquireSharesOrOwns) {
+  std::unique_ptr<ThreadPool> owned;
+  EXPECT_EQ(ThreadPool::acquire(0, owned), nullptr);
+  EXPECT_EQ(ThreadPool::acquire(1, owned), nullptr);
+  EXPECT_EQ(owned, nullptr);
+  const std::size_t shared_size = ThreadPool::shared().size();
+  if (shared_size > 1) {
+    EXPECT_EQ(ThreadPool::acquire(shared_size, owned), &ThreadPool::shared());
+    EXPECT_EQ(owned, nullptr);
+  }
+  const std::size_t other = shared_size == 3 ? 2 : 3;
+  ThreadPool* pool = ThreadPool::acquire(other, owned);
+  ASSERT_NE(pool, nullptr);
+  EXPECT_EQ(pool, owned.get());
+  EXPECT_EQ(pool->size(), other);
+  EXPECT_EQ(ThreadPool::acquire(other, owned), pool);  // reused, not rebuilt
 }
 
 TEST(ThreadPool, DestructorDrainsCleanly) {
