@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <set>
 #include <string>
 #include <vector>
@@ -39,6 +40,16 @@ FeiSystemConfig golden_config() {
 }
 
 constexpr double kGoldenLedgerTotal = 0x1.fe8f44bc615ffp+7;
+constexpr double kGoldenModeledTotal = 0x1.1c7bb34044fadp+5;
+constexpr double kGoldenCategory[7] = {
+    0x0p+0,                // data collection (off)
+    0x1.8354ace0ea07bp+7,  // waiting
+    0x1.a0dd585b30ce1p+4,  // download
+    0x1.44ca946be5dfep+2,  // training
+    0x1.e7c4c165907dbp+4,  // upload
+    0x0p+0,                // retry (faults off)
+    0x0p+0,                // aborted (faults off)
+};
 constexpr double kGoldenWallClock = 0x1.850c37394590cp+3;
 constexpr double kGoldenTimelineSum = 0x1.bcf4fb069b7bcp+9;
 constexpr double kGoldenFinalAccuracy = 0x1.170a3d70a3d71p-1;
@@ -47,6 +58,13 @@ constexpr double kGoldenFinalLoss = 0x1.082c5a9bb4488p+1;
 void expect_golden(const EventFleetRunResult& r) {
   EXPECT_EQ(r.training.rounds_run, 8u);
   EXPECT_EQ(r.ledger.total().value(), kGoldenLedgerTotal);
+  EXPECT_EQ(r.ledger.modeled_total().value(), kGoldenModeledTotal);
+  for (std::size_t c = 0; c < energy::kNumEnergyCategories; ++c) {
+    EXPECT_EQ(r.ledger.category_total(static_cast<energy::EnergyCategory>(c))
+                  .value(),
+              kGoldenCategory[c])
+        << "category " << c;
+  }
   EXPECT_EQ(r.wall_clock.value(), kGoldenWallClock);
   EXPECT_EQ(r.accumulated_energy().value(), kGoldenTimelineSum);
   EXPECT_EQ(r.training.record.last().test_accuracy, kGoldenFinalAccuracy);
@@ -72,6 +90,64 @@ void expect_bitwise_equal(const FleetRunResult& a, const FleetRunResult& b,
               b.accumulators[sid].total_energy().value())
         << "server " << sid;
   }
+}
+
+constexpr std::uint64_t kFnvBasis = 1469598103934665603ULL;
+
+std::uint64_t fnv1a(std::uint64_t h, const void* data, std::size_t n) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  for (std::size_t i = 0; i < n; ++i) {
+    h ^= p[i];
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+// The exact bits of a run too large to pin value by value: scalar totals
+// as hexfloats, the final model and every server's (ledger total,
+// accumulator total) pair, in server order, as FNV-1a digests of their
+// bytes.
+struct Fingerprint {
+  double ledger_total;
+  double wall_clock;
+  std::uint64_t params_fnv;
+  std::uint64_t per_server_fnv;
+  std::size_t retries;
+  std::size_t aborted_updates;
+  std::size_t straggler_drops;
+  std::size_t crashed_servers;
+};
+
+Fingerprint fingerprint(const FleetRunResult& r) {
+  const auto& params = r.training.final_params;
+  std::uint64_t per_server = kFnvBasis;
+  for (std::size_t sid = 0; sid < r.accumulators.size(); ++sid) {
+    const double totals[2] = {r.ledger.server_total(sid).value(),
+                              r.accumulators[sid].total_energy().value()};
+    per_server = fnv1a(per_server, totals, sizeof totals);
+  }
+  return {r.ledger.total().value(),
+          r.wall_clock.value(),
+          fnv1a(kFnvBasis, params.data(), params.size() * sizeof(double)),
+          per_server,
+          r.total_retries,
+          r.total_aborted_updates,
+          r.total_straggler_drops,
+          r.total_crashed_servers};
+}
+
+void expect_fingerprint(const FleetRunResult& r, const Fingerprint& want,
+                        std::size_t n_servers) {
+  ASSERT_EQ(r.accumulators.size(), n_servers);
+  const Fingerprint got = fingerprint(r);
+  EXPECT_EQ(got.ledger_total, want.ledger_total);
+  EXPECT_EQ(got.wall_clock, want.wall_clock);
+  EXPECT_EQ(got.params_fnv, want.params_fnv);
+  EXPECT_EQ(got.per_server_fnv, want.per_server_fnv);
+  EXPECT_EQ(got.retries, want.retries);
+  EXPECT_EQ(got.aborted_updates, want.aborted_updates);
+  EXPECT_EQ(got.straggler_drops, want.straggler_drops);
+  EXPECT_EQ(got.crashed_servers, want.crashed_servers);
 }
 
 TEST(EventFleetEngine, MatchesGoldenFingerprint) {
@@ -137,10 +213,9 @@ TEST(EventFleetEngine, ThreadCountInvariant) {
   expect_golden(*r);
 }
 
-// The tentpole equivalence pin at scale: N = 1k with timing jitter and
-// transient stragglers on, so the RNG streams are consumed for real — the
-// event order must reproduce FleetEngine's sorted upload drain exactly.
-TEST(EventFleetEngine, MatchesFleetEngineBitwiseAtN1k) {
+// N = 1k with timing jitter and transient stragglers on, so the RNG
+// streams are consumed for real and uploads complete out of index order.
+FeiSystemConfig jittered_n1k_config() {
   FeiSystemConfig sys = prototype_config();
   sys.num_servers = 1000;
   sys.net.num_edge_servers = 1000;
@@ -159,19 +234,52 @@ TEST(EventFleetEngine, MatchesFleetEngineBitwiseAtN1k) {
   sys.straggler_slowdown = 3.0;
   sys.charge_idle_servers = true;
   sys.seed = 17;
+  return sys;
+}
+
+EventFleetEngineConfig jittered_n1k_event_config() {
+  EventFleetEngineConfig cfg;
+  cfg.system = jittered_n1k_config();
+  cfg.data_pool_shards = 50;
+  cfg.tiers.gateway_fanin = 32;
+  cfg.tiers.region_fanin = 8;
+  return cfg;
+}
+
+// jittered_n1k_event_config() as the round-synchronous engine computed it
+// with a sorted (train_end, index) upload drain.
+constexpr Fingerprint kGoldenN1k{0x1.19a4f5c42b42ep+13,
+                                 0x1.43676087293afp+1,
+                                 0x229aaa5b697adb83ULL,
+                                 0x652827bbb29dee50ULL,
+                                 0,
+                                 0,
+                                 0,
+                                 0};
+
+// The equivalence pin at scale: the event order must reproduce the sorted
+// upload drain exactly.
+TEST(EventFleetEngine, JitteredN1kMatchesGoldenFingerprint) {
+  EventFleetEngine engine(jittered_n1k_event_config());
+  const auto r = engine.run();
+  ASSERT_TRUE(r.ok()) << r.error().message;
+  expect_fingerprint(*r, kGoldenN1k, 1000);
+}
+
+// The tentpole equivalence pin at scale: N = 1k with timing jitter and
+// transient stragglers on, so the RNG streams are consumed for real — the
+// event order must reproduce FleetEngine's sorted upload drain exactly.
+TEST(EventFleetEngine, MatchesFleetEngineBitwiseAtN1k) {
+  const EventFleetEngineConfig cfg = jittered_n1k_event_config();
 
   FleetEngineConfig ref_cfg;
-  ref_cfg.system = sys;
+  ref_cfg.system = cfg.system;
   ref_cfg.data_pool_shards = 50;
   FleetEngine reference(ref_cfg);
   const auto ref = reference.run();
   ASSERT_TRUE(ref.ok()) << ref.error().message;
+  expect_fingerprint(*ref, kGoldenN1k, 1000);
 
-  EventFleetEngineConfig cfg;
-  cfg.system = sys;
-  cfg.data_pool_shards = 50;
-  cfg.tiers.gateway_fanin = 32;
-  cfg.tiers.region_fanin = 8;
   EventFleetEngine engine(cfg);
   const auto r = engine.run();
   ASSERT_TRUE(r.ok()) << r.error().message;
@@ -260,12 +368,37 @@ FeiSystemConfig faulty_config() {
   return cfg;
 }
 
+// faulty_config() as the round-synchronous engine computed it.  Transfer
+// fault plans draw from per-(server, round) counted RNG streams, so a
+// server's fault fate does not depend on scan order; FeiSystem's single
+// shared fault stream deliberately diverges, so only this golden pins the
+// fault path.
+constexpr Fingerprint kGoldenFaultPath{0x1.80ce4e5484462p+7,
+                                       0x1.0c12ad81adeadp+1,
+                                       0xce33268f23f7fd95ULL,
+                                       0x120be24c93a3eac2ULL,
+                                       20,  // retries
+                                       1,   // aborted updates
+                                       0,   // straggler drops
+                                       0};  // crashed servers
+
+TEST(EventFleetEngine, FaultPathMatchesGoldenFingerprint) {
+  EventFleetEngineConfig cfg;
+  cfg.system = faulty_config();
+  cfg.tiers.gateway_fanin = 8;
+  EventFleetEngine engine(cfg);
+  const auto r = engine.run();
+  ASSERT_TRUE(r.ok()) << r.error().message;
+  expect_fingerprint(*r, kGoldenFaultPath, 30);
+}
+
 TEST(EventFleetEngine, FaultPathMatchesFleetEngine) {
   FleetEngineConfig ref_cfg;
   ref_cfg.system = faulty_config();
   FleetEngine reference(ref_cfg);
   const auto ref = reference.run();
   ASSERT_TRUE(ref.ok()) << ref.error().message;
+  expect_fingerprint(*ref, kGoldenFaultPath, 30);
 
   EventFleetEngineConfig cfg;
   cfg.system = faulty_config();
@@ -476,30 +609,7 @@ TEST(EventFleetEngine, MultiHopZeroConfigMatchesGoldenFingerprint) {
 // multi-hop run is byte-identical to the point-to-point engine on the
 // same jittered / straggler-heavy configuration.
 TEST(EventFleetEngine, MultiHopZeroConfigBitwiseTwinAtN1k) {
-  FeiSystemConfig sys = prototype_config();
-  sys.num_servers = 1000;
-  sys.net.num_edge_servers = 1000;
-  sys.samples_per_server = 30;
-  sys.test_samples = 200;
-  sys.data.image_side = 12;
-  sys.model.input_dim = 144;
-  sys.sgd.learning_rate = 0.1;
-  sys.fl.clients_per_round = 20;
-  sys.fl.local_epochs = 2;
-  sys.fl.max_rounds = 4;
-  sys.fl.eval_every = 2;
-  sys.fl.threads = 4;
-  sys.timing_jitter = 0.05;
-  sys.straggler_fraction = 0.2;
-  sys.straggler_slowdown = 3.0;
-  sys.charge_idle_servers = true;
-  sys.seed = 17;
-
-  EventFleetEngineConfig plain;
-  plain.system = sys;
-  plain.data_pool_shards = 50;
-  plain.tiers.gateway_fanin = 32;
-  plain.tiers.region_fanin = 8;
+  const EventFleetEngineConfig plain = jittered_n1k_event_config();
   EventFleetEngine ref_engine(plain);
   const auto ref = ref_engine.run();
   ASSERT_TRUE(ref.ok()) << ref.error().message;
