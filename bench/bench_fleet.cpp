@@ -1,12 +1,11 @@
-// Fleet-scale engine bench: runs the FleetEngine at N ∈ {100, 1k, 10k}
-// edge servers (100k opt-in via `n100k=1`) and the event-driven
-// EventFleetEngine at the same sizes, reporting simulation throughput
+// Fleet-scale engine bench: runs the event-driven EventFleetEngine at
+// N ∈ {100, 1k, 10k} edge servers (100k opt-in via `n100k=1`), batched and
+// serial training twins per size, reporting simulation throughput
 // (servers·rounds per second), peak RSS, and energy at the end of the run.
-// `n1m=1` adds the million-server row: EventFleetEngine with a virtual
-// population, O(K) selection and no per-server accumulator array, at a
-// pinned 100 federated rounds.  Also proves the thread-count and
-// event-vs-sorted-drain byte-identity claims in-process before timing
-// anything.
+// `n1m=1` adds the million-server row: a virtual population, O(K)
+// selection and no per-server accumulator array, at a pinned 100 federated
+// rounds.  Also proves the thread-count and FeiSystem byte-identity claims
+// in-process before timing anything.
 //
 //   build/bench/bench_fleet [rounds=20] [threads=0] [n100k=1] [n1m=1]
 //                           [trace=fleet.json] [overhead=1.05] [gate=1]
@@ -38,7 +37,7 @@
 #include "obs/telemetry.h"
 #include "obs/trace_export.h"
 #include "sim/event_fleet.h"
-#include "sim/fleet_engine.h"
+#include "sim/fei_system.h"
 
 namespace {
 
@@ -50,9 +49,9 @@ double peak_rss_mb() {
   return static_cast<double>(usage.ru_maxrss) / 1024.0;  // KiB → MiB
 }
 
-sim::FleetEngineConfig fleet_config(std::size_t n, std::size_t rounds,
-                                    std::size_t threads) {
-  sim::FleetEngineConfig cfg;
+sim::EventFleetEngineConfig event_config(std::size_t n, std::size_t rounds,
+                                         std::size_t threads) {
+  sim::EventFleetEngineConfig cfg;
   cfg.system = sim::prototype_config();
   cfg.system.num_servers = n;
   cfg.system.net.num_edge_servers = n;
@@ -72,15 +71,6 @@ sim::FleetEngineConfig fleet_config(std::size_t n, std::size_t rounds,
   // Above 1k servers, pool the training data (256 distinct shards shared
   // round-robin) so the dataset footprint stays flat while every server
   // still trains, uploads and accounts energy individually.
-  cfg.data_pool_shards = n > 1000 ? 256 : 0;
-  cfg.sampled_timelines = 8;
-  return cfg;
-}
-
-sim::EventFleetEngineConfig event_config(std::size_t n, std::size_t rounds,
-                                         std::size_t threads) {
-  sim::EventFleetEngineConfig cfg;
-  cfg.system = fleet_config(n, rounds, threads).system;
   cfg.data_pool_shards = n > 1000 ? 256 : 0;
   cfg.sampled_timelines = 8;
   if (n >= 1000000) {
@@ -136,59 +126,40 @@ int main(int argc, char** argv) {
     overhead_budget = cfg->get_double_or("overhead", overhead_budget);
   }
 
-  // Byte-identity proof: a serial and a threaded run of the same fleet
-  // must agree on every energy bit before any throughput number means
-  // anything.
+  // Byte-identity proof: a serial and a threaded run of the same fleet,
+  // and the reference FeiSystem on the same (unpooled) configuration, must
+  // agree on every energy bit before any throughput number means anything.
   {
-    auto serial_cfg = fleet_config(200, 6, 1);
-    auto threaded_cfg = fleet_config(200, 6, threads);
+    auto serial_cfg = event_config(200, 6, 1);
     serial_cfg.shard_size = 16;
-    sim::FleetEngine serial(serial_cfg);
-    sim::FleetEngine threaded(threaded_cfg);
+    const auto threaded_cfg = event_config(200, 6, threads);
+    sim::EventFleetEngine serial(serial_cfg);
+    sim::EventFleetEngine threaded(threaded_cfg);
+    sim::FeiSystem reference(threaded_cfg.system);
     const auto a = serial.run();
     const auto b = threaded.run();
-    if (!a.ok() || !b.ok()) {
+    const auto ref = reference.run();
+    if (!a.ok() || !b.ok() || !ref.ok()) {
       std::fprintf(stderr, "identity probe failed to run\n");
       return 1;
     }
-    const bool identical =
+    const bool thread_identical =
         a->ledger.total().value() == b->ledger.total().value() &&
         a->accumulated_energy().value() == b->accumulated_energy().value() &&
         a->wall_clock.value() == b->wall_clock.value() &&
         a->training.final_params == b->training.final_params;
     std::printf("thread identity (t=1 vs t=%zu): %s\n", threads,
-                identical ? "byte-identical" : "MISMATCH");
-    if (!identical) return 1;
-  }
-
-  // Second identity proof: the event-driven engine must reproduce the
-  // sorted-drain FleetEngine bit for bit (and itself be thread-invariant)
-  // on the overlapping configuration.
-  {
-    sim::FleetEngine reference(fleet_config(200, 6, threads));
-    auto ev_cfg = event_config(200, 6, threads);
-    auto ev_serial_cfg = event_config(200, 6, 1);
-    ev_serial_cfg.shard_size = 16;
-    sim::EventFleetEngine event_engine(ev_cfg);
-    sim::EventFleetEngine event_serial(ev_serial_cfg);
-    const auto a = reference.run();
-    const auto b = event_engine.run();
-    const auto c = event_serial.run();
-    if (!a.ok() || !b.ok() || !c.ok()) {
-      std::fprintf(stderr, "event identity probe failed to run\n");
-      return 1;
-    }
-    const bool identical =
-        a->ledger.total().value() == b->ledger.total().value() &&
-        a->accumulated_energy().value() == b->accumulated_energy().value() &&
-        a->wall_clock.value() == b->wall_clock.value() &&
-        a->training.final_params == b->training.final_params &&
-        b->ledger.total().value() == c->ledger.total().value() &&
-        b->wall_clock.value() == c->wall_clock.value() &&
-        b->training.final_params == c->training.final_params;
-    std::printf("event/fleet identity (N=200): %s\n",
-                identical ? "byte-identical" : "MISMATCH");
-    if (!identical) return 1;
+                thread_identical ? "byte-identical" : "MISMATCH");
+    Joules timeline_sum{0.0};
+    for (const auto& tl : ref->timelines) timeline_sum += tl.total_energy();
+    const bool reference_identical =
+        ref->ledger.total().value() == b->ledger.total().value() &&
+        timeline_sum.value() == b->accumulated_energy().value() &&
+        ref->wall_clock.value() == b->wall_clock.value() &&
+        ref->training.final_params == b->training.final_params;
+    std::printf("event/FeiSystem identity (N=200): %s\n",
+                reference_identical ? "byte-identical" : "MISMATCH");
+    if (!thread_identical || !reference_identical) return 1;
   }
 
   bench::BenchReport report("fleet");
@@ -206,10 +177,10 @@ int main(int argc, char** argv) {
     double energy_j = 0.0;
     double sim_secs = 0.0;
     std::size_t rounds = 0;
-    double events = 0.0;                    // event engine only
+    double events = 0.0;
     double events_per_s = 0.0;              // dispatch throughput, best rep
     double queue_high_water = 0.0;          // deepest pending-event backlog
-    double link_wait_s = 0.0;               // multi-hop engine only
+    double link_wait_s = 0.0;               // multi-hop runs only
     double link_util_peak = 0.0;
     std::vector<double> final_params;       // for traced-twin identity
   };
@@ -218,10 +189,10 @@ int main(int argc, char** argv) {
   // core dominates a single sample.  Energy must be bit-equal across reps
   // (the simulation is deterministic) or the measurement is rejected.
   constexpr int kReps = 3;
-  auto measure = [&](std::size_t n, auto make_engine,
+  auto measure = [&](std::size_t n, const sim::EventFleetEngineConfig& cfg,
                      TimedRun& out) -> bool {
     for (int rep = 0; rep < kReps; ++rep) {
-      auto engine = make_engine();
+      sim::EventFleetEngine engine(cfg);
       if (const auto st = engine.prepare(); !st.ok()) {
         std::fprintf(stderr, "N=%zu prepare failed: %s\n", n,
                      st.error().message.c_str());
@@ -251,17 +222,11 @@ int main(int argc, char** argv) {
       out.sim_secs = r->wall_clock.value();
       out.rounds = r->training.rounds_run;
       out.final_params = r->training.final_params;
-      if constexpr (requires { r->events_processed; }) {
-        out.events = static_cast<double>(r->events_processed);
-        if (best) out.events_per_s = out.events * 1e9 / elapsed_ns;
-      }
-      if constexpr (requires { r->queue_high_water; }) {
-        out.queue_high_water = static_cast<double>(r->queue_high_water);
-      }
-      if constexpr (requires { r->link_wait; }) {
-        out.link_wait_s = r->link_wait.value();
-        out.link_util_peak = r->link_util_peak;
-      }
+      out.events = static_cast<double>(r->events_processed);
+      if (best) out.events_per_s = out.events * 1e9 / elapsed_ns;
+      out.queue_high_water = static_cast<double>(r->queue_high_water);
+      out.link_wait_s = r->link_wait.value();
+      out.link_util_peak = r->link_util_peak;
     }
     return true;
   };
@@ -283,10 +248,8 @@ int main(int argc, char** argv) {
     constexpr std::size_t kMillion = 1000000;
     constexpr std::size_t kMillionRounds = 100;
     TimedRun event_run;
-    if (!measure(kMillion, [&] {
-          return sim::EventFleetEngine(
-              event_config(kMillion, kMillionRounds, threads));
-        }, event_run)) {
+    if (!measure(kMillion, event_config(kMillion, kMillionRounds, threads),
+                 event_run)) {
       return 1;
     }
     const double rss = peak_rss_mb();
@@ -324,10 +287,9 @@ int main(int argc, char** argv) {
     // claim for the network layer itself.
     {
       TimedRun mh_run;
-      if (!measure(kMillion, [&] {
-            return sim::EventFleetEngine(
-                multihop_config(kMillion, kMillionRounds, threads, 0));
-          }, mh_run)) {
+      if (!measure(kMillion,
+                   multihop_config(kMillion, kMillionRounds, threads, 0),
+                   mh_run)) {
         return 1;
       }
       const bool twin_ok = mh_run.energy_j == event_run.energy_j &&
@@ -442,53 +404,32 @@ int main(int argc, char** argv) {
     // Twin rows: the batched ModelBank path (the default, the headline
     // metric) and the serial per-client reference.  Both are bit-identical
     // by contract, so energy must agree exactly between the twins.
+    auto batched_cfg = event_config(n, rounds, threads);
+    batched_cfg.system.fl.batched_training = true;
+    auto serial_cfg = batched_cfg;
+    serial_cfg.system.fl.batched_training = false;
     TimedRun batched, serial;
-    if (!measure(n, [&] {
-          auto cfg = fleet_config(n, rounds, threads);
-          cfg.system.fl.batched_training = true;
-          return sim::FleetEngine(cfg);
-        }, batched) ||
-        !measure(n, [&] {
-          auto cfg = fleet_config(n, rounds, threads);
-          cfg.system.fl.batched_training = false;
-          return sim::FleetEngine(cfg);
-        }, serial)) {
+    if (!measure(n, batched_cfg, batched) || !measure(n, serial_cfg, serial)) {
       return 1;
     }
     if (batched.energy_j != serial.energy_j) {
       std::fprintf(stderr, "N=%zu batched/serial energy mismatch\n", n);
       return 1;
     }
-    // The event-driven engine on the identical configuration: a third
-    // bit-identity gate (same energy or the row is rejected) plus its own
-    // throughput metric.
-    TimedRun event_run;
-    if (!measure(n, [&] {
-          return sim::EventFleetEngine(event_config(n, rounds, threads));
-        }, event_run)) {
-      return 1;
-    }
-    if (event_run.energy_j != batched.energy_j) {
-      std::fprintf(stderr, "N=%zu event/fleet energy mismatch\n", n);
-      return 1;
-    }
     const double rss = peak_rss_mb();
     const std::string tag = "fleet/N=" + std::to_string(n);
     report.add(tag + "/ns_per_server_round", batched.ns_per_server_round,
                {{"speedup_vs_serial",
-                 serial.ns_per_server_round / batched.ns_per_server_round}});
+                 serial.ns_per_server_round / batched.ns_per_server_round},
+                {"events_processed", batched.events},
+                {"events_per_s", batched.events_per_s},
+                {"queue_high_water", batched.queue_high_water}});
     report.add(tag + "/batched=0/ns_per_server_round",
                serial.ns_per_server_round);
     report.add(tag + "/rss_mb", rss);
     report.add(tag + "/energy_j", batched.energy_j);
-    report.add("fleet/event/N=" + std::to_string(n) + "/ns_per_server_round",
-               event_run.ns_per_server_round,
-               {{"events_processed", event_run.events},
-                {"events_per_s", event_run.events_per_s},
-                {"queue_high_water", event_run.queue_high_water}});
     print_row(n, batched, "batched", rss);
     print_row(n, serial, "serial", rss);
-    print_row(n, event_run, "event", rss);
 
     // Multi-hop rows at N = 1000: first the zero-config twin gate (default
     // transparent links must reproduce the point-to-point event row bit
@@ -498,28 +439,19 @@ int main(int argc, char** argv) {
     // congestion is the feature under test, not an incidental number.
     if (n == 1000) {
       TimedRun twin;
-      if (!measure(n, [&] {
-            return sim::EventFleetEngine(
-                multihop_config(n, rounds, threads, 0));
-          }, twin)) {
+      if (!measure(n, multihop_config(n, rounds, threads, 0), twin)) {
         return 1;
       }
-      const bool twin_ok = twin.energy_j == event_run.energy_j &&
-                           twin.final_params == event_run.final_params &&
+      const bool twin_ok = twin.energy_j == batched.energy_j &&
+                           twin.final_params == batched.final_params &&
                            twin.link_wait_s == 0.0;
       std::printf("multihop zero-config twin (N=%zu): %s\n", n,
                   twin_ok ? "byte-identical" : "MISMATCH");
       if (!twin_ok) return 1;
 
       TimedRun light, heavy;
-      if (!measure(n, [&] {
-            return sim::EventFleetEngine(
-                multihop_config(n, rounds, threads, 10));
-          }, light) ||
-          !measure(n, [&] {
-            return sim::EventFleetEngine(
-                multihop_config(n, rounds, threads, 40));
-          }, heavy)) {
+      if (!measure(n, multihop_config(n, rounds, threads, 10), light) ||
+          !measure(n, multihop_config(n, rounds, threads, 40), heavy)) {
         return 1;
       }
       if (!(light.link_wait_s > 0.0 &&

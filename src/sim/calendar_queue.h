@@ -16,7 +16,8 @@
 // remaining events' min/max times: O(pending) moves, amortized O(1) per
 // event for the per-round schedule/drain cycles the fleet engine runs.
 //
-// Ordering equivalence with the binary-heap reference (TypedEventQueue):
+// Ordering equivalence with a binary heap (the test oracle
+// tests/typed_event_queue.h):
 //   1. Within a bucket events pop in (at, seq) order — explicit sort, then
 //      sorted insertion for mid-drain schedules.  A mid-drain insert can
 //      never land before the cursor: a new event's time is clamped to

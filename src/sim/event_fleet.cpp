@@ -22,9 +22,9 @@
 #include "net/router.h"
 #include "obs/telemetry.h"
 #include "sim/calendar_queue.h"
+#include "sim/edge_server_sim.h"
 #include "sim/fault_process.h"
 #include "sim/fleet_event.h"
-#include "sim/typed_event_queue.h"
 
 namespace eefei::sim {
 
@@ -134,22 +134,12 @@ void EventFleetEngine::for_each_server_sharded(
   }
 }
 
+// The whole simulation.  Every event is a POD FleetEvent dispatched through
+// the switch below; by-value state rides in the event's t0/t1/t2 fields and
+// shared state is read from the engine's round state at fire time, so the
+// event order, every floating-point expression and every RNG draw are a
+// pure function of the configuration.
 Result<EventFleetRunResult> EventFleetEngine::run() {
-  if (config_.event_queue == FleetQueueImpl::kBinaryHeap) {
-    return run_impl<TypedEventQueue<FleetEvent>>();
-  }
-  return run_impl<CalendarQueue<FleetEvent>>();
-}
-
-// The simulation body, templated over the typed event scheduler.  Every
-// event is a POD FleetEvent dispatched through the switch below; each case
-// body is the former capturing-lambda handler verbatim, with by-value
-// captures riding in the event's t0/t1/t2 fields and by-reference captures
-// read from the engine's round state at fire time — so the event order,
-// every floating-point expression and every RNG draw are unchanged, and
-// results stay bit-identical to the closure-based implementation.
-template <class Q>
-Result<EventFleetRunResult> EventFleetEngine::run_impl() {
   if (const auto st = prepare(); !st.ok()) return st.error();
   const FeiSystemConfig& sys = config_.system;
   const std::size_t n_servers = sys.num_servers;
@@ -168,8 +158,8 @@ Result<EventFleetRunResult> EventFleetEngine::run_impl() {
   result.num_gateways = tier_plan.num_gateways();
   result.num_regions = tier_plan.num_regions();
 
-  // Sampled full-timeline mirrors: same even spacing as FleetEngine, but a
-  // hash map instead of an O(N) mirror index array.
+  // Sampled full-timeline mirrors, evenly spaced over the fleet, found
+  // through a hash map instead of an O(N) mirror index array.
   const std::size_t n_sampled = std::min(config_.sampled_timelines, n_servers);
   std::unordered_map<std::size_t, std::uint32_t> mirror_of;
   std::vector<EdgeServerSim> mirrors;
@@ -292,9 +282,9 @@ Result<EventFleetRunResult> EventFleetEngine::run_impl() {
         ml::quantized_wire_size(param_count, sys.upload_quant_bits);
   }
 
-  // Same seed derivations as FeiSystem/FleetEngine; the dispatch scan
-  // consumes these streams serially in selection order, so a fault-free
-  // materialized run matches both reference engines bit for bit.
+  // Same seed derivations as FeiSystem; the dispatch scan consumes these
+  // streams serially in selection order, so a fault-free materialized run
+  // matches the reference engine bit for bit.
   Rng jitter_rng(sys.seed * 104729 + 5);
   Rng straggler_rng(sys.seed * 15485863 + 7);
   net::CsmaCell csma(sys.csma, Rng(sys.seed * 48611 + 9));
@@ -306,7 +296,7 @@ Result<EventFleetRunResult> EventFleetEngine::run_impl() {
   };
   std::vector<double> persistent_slowdown;
   if (sys.straggler_persistent && sys.straggler_fraction > 0.0) {
-    // Same draws as FleetEngine; the O(N) array only exists when the knob
+    // Same draws as FeiSystem; the O(N) array only exists when the knob
     // is on (it is one of the few remaining per-server allocations).
     persistent_slowdown.assign(n_servers, 1.0);
     for (auto& f : persistent_slowdown) {
@@ -398,7 +388,7 @@ Result<EventFleetRunResult> EventFleetEngine::run_impl() {
   // indexed by gateway/region id, and the per-round touched-id lists both
   // bound the reset cost to O(touched) and provide the deterministic
   // iteration order (sorted where it matters — the per-gateway merge).
-  Q queue;
+  CalendarQueue<FleetEvent> queue;
   struct TierNodeState {
     std::size_t remaining = 0;  // children not yet resolved this round
     std::size_t members = 0;    // children active this round
@@ -611,7 +601,8 @@ Result<EventFleetRunResult> EventFleetEngine::run_impl() {
     }
   };
 
-  // Fault constants and processes (FleetEngine's fault filter verbatim).
+  // Fault constants and processes: FeiSystem's fault filter, except that
+  // transfer fault plans draw from per-(server, round) counted streams.
   const net::LinkFaultConfig link_faults = sys.net.link_faults;
   const RngStreamFamily fault_streams(
       link_faults.seed * 0x9e3779b97f4a7c15ULL + sys.seed * 7349 + 101);
@@ -845,7 +836,7 @@ Result<EventFleetRunResult> EventFleetEngine::run_impl() {
       }
       case FleetEventKind::kFaultEpochDone: {
         // Book the full training phase, then run the upload leg against
-        // the (event-ordered) FCFS chain — exactly FleetEngine's sorted
+        // the (event-ordered) FCFS chain — exactly a sorted
         // (train_end, index) drain, produced by the queue's FIFO.
         const std::size_t sid = ev.a;
         const Seconds train_start = ev.t0;
@@ -960,10 +951,10 @@ Result<EventFleetRunResult> EventFleetEngine::run_impl() {
   };
 
   // --- Fault-free round simulation: one shared LAN, global event queue ---
-  // Equivalence with FleetEngine's sorted drain: epoch-done events fire in
+  // Equivalence with FeiSystem's upload drain: epoch-done events fire in
   // (train_end, FIFO) order and FIFO order equals selection-index order, so
   // the upload legs consume jitter_rng / csma / lan_free in exactly the
-  // (train_end, index) order FleetEngine's explicit sort produces.
+  // (train_end, index) order of an explicit sort.
   auto observer = [&](const fl::RoundRecord& record,
                       std::span<const fl::LocalTrainResult> updates) {
     begin_round(record.round, record.selected);
@@ -1154,7 +1145,7 @@ Result<EventFleetRunResult> EventFleetEngine::run_impl() {
     auto drain_gateway = [&](std::size_t gi) {
       const std::size_t gid = active_gids[gi];
       const std::vector<Job>& jobs = gw_jobs[gid];
-      Q local;
+      CalendarQueue<FleetEvent> local;
       // Uploads queue behind this gateway's downloads, like the shared
       // medium does globally.
       Seconds lf = gw_lan_free[gid];
@@ -1298,8 +1289,8 @@ Result<EventFleetRunResult> EventFleetEngine::run_impl() {
   };
 
   // --- Fault-mode round simulation ---------------------------------------
-  // The control flow (what fails, when, what it costs) is FleetEngine's
-  // fault filter verbatim — the timing plan is computed in the dispatch
+  // The control flow (what fails, when, what it costs) is FeiSystem's
+  // fault filter — the timing plan is computed in the dispatch
   // scan because the FCFS lan_free chain needs it — but every energy
   // booking now lands on its event boundary: download-done, epoch-done,
   // upload-done, server-crash, deadline truncations and lost transfers all
@@ -1594,10 +1585,5 @@ Result<EventFleetRunResult> EventFleetEngine::run_impl() {
 
   return result;
 }
-
-template Result<EventFleetRunResult>
-EventFleetEngine::run_impl<CalendarQueue<FleetEvent>>();
-template Result<EventFleetRunResult>
-EventFleetEngine::run_impl<TypedEventQueue<FleetEvent>>();
 
 }  // namespace eefei::sim

@@ -1,12 +1,18 @@
-// Event-driven fleet engine: the same FEI round model as FleetEngine,
-// rebuilt as a discrete-event simulation on sim::EventQueue so idle servers
-// cost nothing per round and N = 10^6 becomes tractable.
+// Event-driven fleet engine: the FEI round model of the reference
+// FeiSystem (select K servers, E local epochs, upload, FedAvg, Eq. 12
+// energy), rebuilt as a discrete-event simulation so idle servers cost
+// nothing per round and N = 10^6 becomes tractable.
 //
-// What changes relative to the round-synchronous FleetEngine:
+// What changes relative to FeiSystem:
 //
 //   - Per-server phase completions are EVENTS (download-done, epoch-done,
-//     upload-done, server-crash) scheduled on the event queue; the round
-//     clock is whatever the queue drained to, not an O(N) barrier sweep.
+//     upload-done, server-crash) scheduled on a typed sim::CalendarQueue;
+//     the round clock is whatever the queue drained to, not an O(N)
+//     barrier sweep.
+//   - Energy accounting streams through CompactEnergyAccumulator (O(1)
+//     memory per server) instead of a PowerStateTimeline per server.  A
+//     configurable sampled subset of servers still gets full EdgeServerSim
+//     timelines, so Fig. 3-style traces and the tracer keep working.
 //   - Aggregation is hierarchical: device → gateway → regional coordinator
 //     → root (fl::TierPlan), each tier's fan-in bounded by configuration.
 //     A gateway completes when its last selected member resolves, a region
@@ -17,55 +23,59 @@
 //     the floating-point sum per tier would re-associate it and break the
 //     bit-identity contract below.
 //   - Idle-server waiting energy is settled LAZILY (energy/idle_settlement):
-//     the per-round O(N) ledger sweep becomes one deferred charge per
-//     touched server plus a single fold for never-selected servers, with
-//     per-cell addition order preserved — so the ledger is still
-//     bit-identical to the eager engine's.
+//     one deferred charge per touched server plus a single fold for
+//     never-selected servers, with the per-cell addition order of an eager
+//     per-round sweep preserved — so the ledger is bit-identical to it.
 //   - The population can be VIRTUAL: datasets and shards are built eagerly
 //     (same bytes as ever), but Client objects materialize lazily on first
 //     selection (fl::LazyClientPool) and LAN timings come from the shared
 //     WifiLanConfig instead of per-server channel objects.  Requires a
 //     loss-free LAN and no IoT collection; under those conditions the run
 //     is bit-identical to a materialized one.
+//   - The rare O(N) passes (end-of-run timeline closing, totals reduction)
+//     are sharded across the ThreadPool over disjoint per-server state.
 //
 // Determinism contract (pinned by tests/test_event_fleet.cpp): results are
 // byte-identical for any thread count, and — on overlapping configurations
 // (zero tier latencies, shared-medium contention, materialized or
-// loss-free-virtual population) — byte-identical to FleetEngine, and hence
-// to the reference FeiSystem.  The argument: the dispatch scan consumes the
-// FeiSystem RNG streams serially in selection order, uploads drain in the
-// queue's (time, FIFO) order which equals FleetEngine's (train_end, index)
-// sort, per-server state is disjoint across the sharded O(N) passes, and
+// loss-free-virtual population, no fault injection, no data pooling) —
+// byte-identical to FeiSystem.  The argument: the dispatch scan consumes
+// the FeiSystem RNG streams serially in selection order, uploads drain in
+// the queue's (time, FIFO) order, which equals a (train_end, index) sort,
+// per-server state is disjoint across the sharded O(N) passes, and
 // parallel per-gateway drains merge in ascending gateway order.
 //
+// Fault injection is FeiSystem's fault filter with one deliberate
+// divergence: transfer fault plans draw from per-(server, round) counted
+// RNG streams (RngStreamFamily) instead of one shared stream, so a
+// server's fault fate does not depend on which other servers were scanned
+// before it.  Golden fingerprints pin that path.
+//
 // Trained models route through the coordinator's ml::ModelBank batched
-// path, exactly like FleetEngine — the DES replaces the *timing* layer,
-// not the fused training hot loop.
+// path — the DES replaces the *timing* layer, not the fused training hot
+// loop.
 #pragma once
 
 #include <cstddef>
+#include <functional>
 #include <memory>
+#include <vector>
 
 #include "common/result.h"
 #include "common/thread_pool.h"
 #include "common/units.h"
+#include "energy/compact_accumulator.h"
+#include "energy/ledger.h"
+#include "energy/timeline.h"
 #include "fl/client_pool.h"
+#include "fl/coordinator.h"
 #include "fl/tiering.h"
 #include "net/link_queue.h"
 #include "obs/track_sampler.h"
-#include "sim/fleet_engine.h"
+#include "sim/fei_system.h"
+#include "sim/population.h"
 
 namespace eefei::sim {
-
-/// Scheduler backing the fleet engine's typed event loop.  Both process
-/// POD sim::FleetEvent payloads through the engine's switch dispatch and
-/// implement the exact same (time, seq) FIFO total order, so results are
-/// bit-identical across the two — the calendar queue is the O(1)-amortized
-/// default, the binary heap the reference the equivalence tests pin it to.
-enum class FleetQueueImpl {
-  kCalendar,    // sim::CalendarQueue (bucketed, O(1) amortized)
-  kBinaryHeap,  // sim::TypedEventQueue (push_heap/pop_heap reference)
-};
 
 struct EventFleetEngineConfig {
   /// Full system description; `system.fl.threads` sizes the worker pool
@@ -76,13 +86,16 @@ struct EventFleetEngineConfig {
   /// any value produces byte-identical results.
   std::size_t shard_size = 1024;
 
-  /// Servers keeping a full PowerStateTimeline (evenly spaced), as in
-  /// FleetEngine.
+  /// How many servers keep a full PowerStateTimeline (evenly spaced over
+  /// the fleet).  Clamped to N; set to N to retain every timeline, as the
+  /// reference FeiSystem does.
   std::size_t sampled_timelines = 8;
 
-  /// Data pooling (see FleetEngineConfig::data_pool_shards).  Mandatory
-  /// (0 < P < N) in virtual-population mode: without pooling the dataset
-  /// itself is O(N) and the virtual mode's memory argument is void.
+  /// Data pooling for very large fleets: generate P < N distinct local
+  /// datasets and map server k to pool shard k mod P.  0 (or P >= N)
+  /// keeps the full per-server population, byte-identical to FeiSystem.
+  /// Mandatory (0 < P < N) in virtual-population mode: without pooling the
+  /// dataset itself is O(N) and the virtual mode's memory argument is void.
   std::size_t data_pool_shards = 0;
 
   /// Aggregation hierarchy fan-in bounds (servers per gateway, gateways
@@ -91,8 +104,8 @@ struct EventFleetEngineConfig {
   fl::TierConfig tiers;
 
   /// Per-hop aggregation latencies.  All zero (the default) keeps the
-  /// makespan — and therefore every energy bit — identical to FleetEngine;
-  /// nonzero values model the tier hops' communication cost.
+  /// makespan — and therefore every energy bit — identical to a flat
+  /// aggregation; nonzero values model the tier hops' communication cost.
   Seconds gateway_latency{0.0};
   Seconds region_latency{0.0};
   Seconds root_latency{0.0};
@@ -104,20 +117,21 @@ struct EventFleetEngineConfig {
 
   /// false: skip the O(N) CompactEnergyAccumulator array (the ledger and
   /// sampled timelines remain).  The memory lever for N = 10^6; leave on
-  /// for FleetEngine-comparable results (accumulated_energy()).
+  /// for results comparable with FeiSystem's timelines
+  /// (accumulated_energy()).
   bool per_server_accumulators = true;
 
   /// true: each gateway is its own FCFS LAN segment instead of one shared
   /// medium — uploads only queue behind their gateway-mates, and the
   /// per-gateway event streams drain in parallel across the thread pool
   /// (deterministic ascending-gateway merge).  A new scenario, not
-  /// FleetEngine-comparable; FCFS only, fault injection off.
+  /// FeiSystem-comparable; FCFS only, fault injection off.
   bool gateway_contention = false;
 
   /// true: replace the O(N)-per-round partial-Fisher–Yates selection with
   /// the O(K) Floyd sampler (fl::ScalableUniformSelection).  Still exactly
   /// uniform, but a different random stream — selections (and therefore
-  /// results) no longer match FleetEngine for the same seed.  The knob the
+  /// results) no longer match FeiSystem for the same seed.  The knob the
   /// N = 1M bench row turns on.
   bool scalable_selection = false;
 
@@ -130,8 +144,11 @@ struct EventFleetEngineConfig {
   /// any setting produces byte-identical run results.
   obs::TrackSamplerConfig trace_tracks;
 
-  /// Cap on servers feeding the fleet.server.joules sketch (0 = all); see
-  /// FleetEngineConfig::joules_sample_cap.
+  /// At most this many servers feed the fleet.server.joules sketch (0 =
+  /// all).  Above the cap the end-of-run pass stride-samples server ids
+  /// (odd stride, so power-of-two data-pool periods stay fully covered) —
+  /// a full O(N) ledger read at N = 10^6 costs more memory bandwidth than
+  /// the whole telemetry overhead budget.  Pure telemetry.
   std::size_t joules_sample_cap = 131072;
 
   /// true: after its access-medium upload completes, each update traverses
@@ -153,14 +170,27 @@ struct EventFleetEngineConfig {
   net::LinkConfig gateway_uplink;
   /// Per-link model for each backhaul → coordinator link.
   net::LinkConfig backhaul_uplink;
-
-  /// Event scheduler implementation.  Pure performance knob: both options
-  /// dispatch the same typed events in the same total order and produce
-  /// byte-identical results (pinned by tests/test_event_fleet.cpp).
-  FleetQueueImpl event_queue = FleetQueueImpl::kCalendar;
 };
 
-struct EventFleetRunResult : FleetRunResult {
+struct EventFleetRunResult {
+  fl::TrainingOutcome training;
+  energy::EnergyLedger ledger{1};
+  Seconds wall_clock{0.0};  // simulated makespan
+
+  /// One streaming accumulator per server (empty when
+  /// per_server_accumulators is off) — the fleet-scale stand-in for
+  /// FeiRunResult::timelines, bit-identical in every total.
+  std::vector<energy::CompactEnergyAccumulator> accumulators;
+  /// Server ids that kept full timelines, and those timelines, aligned.
+  std::vector<std::size_t> sampled_servers;
+  std::vector<energy::PowerStateTimeline> sampled_timelines;
+
+  // Fault-tolerance telemetry, summed over rounds (zero with faults off).
+  std::size_t total_retries = 0;
+  std::size_t total_aborted_updates = 0;
+  std::size_t total_straggler_drops = 0;
+  std::size_t total_crashed_servers = 0;
+
   /// Total events the simulation processed (phase completions, crashes,
   /// tier completions, hop arrivals) — the DES cost measure: O(K·T), not
   /// O(N·T).
@@ -177,6 +207,17 @@ struct EventFleetRunResult : FleetRunResult {
   /// Deepest any event queue got across the run (global queue and, in
   /// gateway-contention mode, the per-gateway local queues).
   std::size_t queue_high_water = 0;
+
+  [[nodiscard]] Joules measured_energy() const { return ledger.total(); }
+
+  /// Sum of per-server accumulator energies, added in server order — the
+  /// quantity that matches a FeiSystem run's summed timeline energies bit
+  /// for bit.
+  [[nodiscard]] Joules accumulated_energy() const {
+    Joules total{0.0};
+    for (const auto& acc : accumulators) total += acc.total_energy();
+    return total;
+  }
 };
 
 class EventFleetEngine {
@@ -202,14 +243,10 @@ class EventFleetEngine {
   }
 
   [[nodiscard]] Status validate() const;
-  void for_each_server_sharded(const std::function<void(std::size_t)>& fn);
 
-  /// The whole simulation, parameterized over the typed event scheduler
-  /// (CalendarQueue or TypedEventQueue); run() picks per config.  Both
-  /// instantiations execute the identical round logic in the identical
-  /// event order — the queue choice is invisible to the results.
-  template <class Q>
-  [[nodiscard]] Result<EventFleetRunResult> run_impl();
+  /// Applies fn(server) for every server, sharded `shard_size` at a time
+  /// across the pool.  `fn` must only touch state owned by that server.
+  void for_each_server_sharded(const std::function<void(std::size_t)>& fn);
 
   EventFleetEngineConfig config_;
   bool prepared_ = false;

@@ -5,7 +5,7 @@
 // re-entrant schedules, wide and degenerate time scales (window rebuild
 // pressure), max_events stop/resume, clear()/reset() reuse.  This is the
 // ordering-equivalence pin the fleet engine's determinism contract rests
-// on when the default queue is the calendar.
+// on: the engine schedules every event on the calendar queue.
 #include "sim/calendar_queue.h"
 
 #include <gtest/gtest.h>
@@ -17,7 +17,7 @@
 #include <vector>
 
 #include "sim/fleet_event.h"
-#include "sim/typed_event_queue.h"
+#include "typed_event_queue.h"
 
 namespace eefei::sim {
 namespace {

@@ -1,8 +1,9 @@
 // Event-driven fleet engine: golden byte-identity against the pre-fleet
-// FeiSystem fingerprint, equivalence with FleetEngine on every overlapping
-// configuration (fault-free, jittered, CSMA, fault injection, N = 1k),
-// thread-count invariance, the virtual-population contract, tier latency
-// semantics, per-gateway contention determinism, and config validation.
+// FeiSystem fingerprint, bitwise equivalence with FeiSystem on overlapping
+// configurations (fault-free, CSMA), golden fingerprints of the jittered
+// N = 1k and fault-injection paths, thread-count invariance, data pooling,
+// the virtual-population contract, tier latency semantics, per-gateway
+// contention determinism, and config validation.
 #include "sim/event_fleet.h"
 
 #include <gtest/gtest.h>
@@ -16,15 +17,14 @@
 
 #include "obs/telemetry.h"
 #include "sim/fei_system.h"
-#include "sim/fleet_engine.h"
 
 namespace eefei::sim {
 namespace {
 
-// Same configuration and pre-fleet FeiSystem reference values as
-// tests/test_fleet_engine.cpp (hexfloat: comparisons are bit-exact).  If
-// these move, the simulation's physics changed — a regression, not a
-// tolerance issue.
+// The exact configuration whose FeiSystem output was fingerprinted before
+// any fleet engine existed (threads ∈ {1, 4} produced identical bits).
+// Hexfloat, so comparisons are bit-exact: if these move, the simulation's
+// physics changed — a regression, not a tolerance issue.
 FeiSystemConfig golden_config() {
   FeiSystemConfig cfg = prototype_config();
   cfg.samples_per_server = 120;
@@ -71,7 +71,8 @@ void expect_golden(const EventFleetRunResult& r) {
   EXPECT_EQ(r.training.record.last().global_loss, kGoldenFinalLoss);
 }
 
-void expect_bitwise_equal(const FleetRunResult& a, const FleetRunResult& b,
+void expect_bitwise_equal(const EventFleetRunResult& a,
+                          const EventFleetRunResult& b,
                           std::size_t n_servers) {
   EXPECT_EQ(a.ledger.total().value(), b.ledger.total().value());
   EXPECT_EQ(a.wall_clock.value(), b.wall_clock.value());
@@ -90,6 +91,27 @@ void expect_bitwise_equal(const FleetRunResult& a, const FleetRunResult& b,
               b.accumulators[sid].total_energy().value())
         << "server " << sid;
   }
+}
+
+// Per-server timelines of the reference engine against the fleet engine's
+// streaming accumulators and ledger rows, bit for bit.
+void expect_matches_fei_system(const FeiRunResult& ref,
+                               const EventFleetRunResult& r) {
+  EXPECT_EQ(ref.ledger.total().value(), r.ledger.total().value());
+  EXPECT_EQ(ref.wall_clock.value(), r.wall_clock.value());
+  EXPECT_EQ(ref.training.final_params, r.training.final_params);
+  ASSERT_EQ(ref.timelines.size(), r.accumulators.size());
+  Joules timeline_sum{0.0};
+  for (std::size_t sid = 0; sid < ref.timelines.size(); ++sid) {
+    timeline_sum += ref.timelines[sid].total_energy();
+    EXPECT_EQ(ref.timelines[sid].total_energy().value(),
+              r.accumulators[sid].total_energy().value())
+        << "server " << sid;
+    EXPECT_EQ(ref.ledger.server_total(sid).value(),
+              r.ledger.server_total(sid).value())
+        << "server " << sid;
+  }
+  EXPECT_EQ(timeline_sum.value(), r.accumulated_energy().value());
 }
 
 constexpr std::uint64_t kFnvBasis = 1469598103934665603ULL;
@@ -118,7 +140,7 @@ struct Fingerprint {
   std::size_t crashed_servers;
 };
 
-Fingerprint fingerprint(const FleetRunResult& r) {
+Fingerprint fingerprint(const EventFleetRunResult& r) {
   const auto& params = r.training.final_params;
   std::uint64_t per_server = kFnvBasis;
   for (std::size_t sid = 0; sid < r.accumulators.size(); ++sid) {
@@ -136,8 +158,8 @@ Fingerprint fingerprint(const FleetRunResult& r) {
           r.total_crashed_servers};
 }
 
-void expect_fingerprint(const FleetRunResult& r, const Fingerprint& want,
-                        std::size_t n_servers) {
+void expect_fingerprint(const EventFleetRunResult& r,
+                        const Fingerprint& want, std::size_t n_servers) {
   ASSERT_EQ(r.accumulators.size(), n_servers);
   const Fingerprint got = fingerprint(r);
   EXPECT_EQ(got.ledger_total, want.ledger_total);
@@ -174,30 +196,6 @@ TEST(EventFleetEngine, MatchesGoldenFingerprint) {
     EXPECT_EQ(r->sampled_timelines[i].total_energy().value(),
               r->accumulators[sid].total_energy().value());
   }
-}
-
-// The queue-implementation switch is a pure performance knob: the binary
-// heap reference must hit the identical golden fingerprint as the default
-// calendar queue, and both must process the same number of events with the
-// same peak depth.
-TEST(EventFleetEngine, BinaryHeapQueueMatchesGoldenFingerprint) {
-  EventFleetEngineConfig cal_cfg;
-  cal_cfg.system = golden_config();
-  cal_cfg.sampled_timelines = 20;
-  cal_cfg.tiers.gateway_fanin = 4;
-  cal_cfg.tiers.region_fanin = 2;
-  EventFleetEngineConfig heap_cfg = cal_cfg;
-  heap_cfg.event_queue = FleetQueueImpl::kBinaryHeap;
-  EventFleetEngine cal_engine(cal_cfg);
-  EventFleetEngine heap_engine(heap_cfg);
-  const auto cal = cal_engine.run();
-  const auto heap = heap_engine.run();
-  ASSERT_TRUE(cal.ok()) << cal.error().message;
-  ASSERT_TRUE(heap.ok()) << heap.error().message;
-  expect_golden(*heap);
-  EXPECT_EQ(heap->events_processed, cal->events_processed);
-  EXPECT_EQ(heap->queue_high_water, cal->queue_high_water);
-  EXPECT_EQ(heap->training.final_params, cal->training.final_params);
 }
 
 TEST(EventFleetEngine, ThreadCountInvariant) {
@@ -246,8 +244,9 @@ EventFleetEngineConfig jittered_n1k_event_config() {
   return cfg;
 }
 
-// jittered_n1k_event_config() as the round-synchronous engine computed it
-// with a sorted (train_end, index) upload drain.
+// jittered_n1k_event_config() as the former round-synchronous fleet
+// engine computed it with an explicitly sorted (train_end, index) upload
+// drain.
 constexpr Fingerprint kGoldenN1k{0x1.19a4f5c42b42ep+13,
                                  0x1.43676087293afp+1,
                                  0x229aaa5b697adb83ULL,
@@ -264,27 +263,6 @@ TEST(EventFleetEngine, JitteredN1kMatchesGoldenFingerprint) {
   const auto r = engine.run();
   ASSERT_TRUE(r.ok()) << r.error().message;
   expect_fingerprint(*r, kGoldenN1k, 1000);
-}
-
-// The tentpole equivalence pin at scale: N = 1k with timing jitter and
-// transient stragglers on, so the RNG streams are consumed for real — the
-// event order must reproduce FleetEngine's sorted upload drain exactly.
-TEST(EventFleetEngine, MatchesFleetEngineBitwiseAtN1k) {
-  const EventFleetEngineConfig cfg = jittered_n1k_event_config();
-
-  FleetEngineConfig ref_cfg;
-  ref_cfg.system = cfg.system;
-  ref_cfg.data_pool_shards = 50;
-  FleetEngine reference(ref_cfg);
-  const auto ref = reference.run();
-  ASSERT_TRUE(ref.ok()) << ref.error().message;
-  expect_fingerprint(*ref, kGoldenN1k, 1000);
-
-  EventFleetEngine engine(cfg);
-  const auto r = engine.run();
-  ASSERT_TRUE(r.ok()) << r.error().message;
-
-  expect_bitwise_equal(*ref, *r, 1000);
 }
 
 TEST(EventFleetEngine, VirtualPopulationMatchesMaterialized) {
@@ -320,15 +298,27 @@ TEST(EventFleetEngine, VirtualPopulationMatchesMaterialized) {
   EXPECT_EQ(ra->events_processed, rb->events_processed);
 }
 
-TEST(EventFleetEngine, CsmaContentionMatchesFleetEngine) {
+TEST(EventFleetEngine, MatchesFeiSystemBitwise) {
+  FeiSystem reference(golden_config());
+  const auto ref = reference.run();
+  ASSERT_TRUE(ref.ok()) << ref.error().message;
+
+  EventFleetEngineConfig cfg;
+  cfg.system = golden_config();
+  cfg.sampled_timelines = 20;
+  EventFleetEngine engine(cfg);
+  const auto r = engine.run();
+  ASSERT_TRUE(r.ok()) << r.error().message;
+  expect_matches_fei_system(*ref, *r);
+}
+
+TEST(EventFleetEngine, CsmaContentionMatchesFeiSystem) {
   FeiSystemConfig sys = golden_config();
   sys.lan_contention = FeiSystemConfig::LanContention::kCsma;
   sys.timing_jitter = 0.05;  // upload jitter draws in completion order
   sys.fl.max_rounds = 4;
 
-  FleetEngineConfig ref_cfg;
-  ref_cfg.system = sys;
-  FleetEngine reference(ref_cfg);
+  FeiSystem reference(sys);
   const auto ref = reference.run();
   ASSERT_TRUE(ref.ok()) << ref.error().message;
 
@@ -339,9 +329,41 @@ TEST(EventFleetEngine, CsmaContentionMatchesFleetEngine) {
   ASSERT_TRUE(r.ok()) << r.error().message;
 
   // CSMA consumes a single shared RNG in upload-completion order; bit
-  // equality proves the queue's (time, FIFO) order IS the sorted
-  // (train_end, index) drain order.
-  expect_bitwise_equal(*ref, *r, sys.num_servers);
+  // equality proves the queue's (time, FIFO) order IS the reference
+  // engine's drain order.
+  expect_matches_fei_system(*ref, *r);
+}
+
+TEST(EventFleetEngine, DataPoolingRunsAndFullPoolIsIdentity) {
+  FeiSystemConfig sys = golden_config();
+  sys.num_servers = 24;
+  sys.net.num_edge_servers = 24;
+  sys.fl.max_rounds = 3;
+
+  // P >= N must be byte-identical to the unpooled population.
+  EventFleetEngineConfig full;
+  full.system = sys;
+  EventFleetEngineConfig pooled_full = full;
+  pooled_full.data_pool_shards = 24;
+  EventFleetEngine ea(full);
+  EventFleetEngine eb(pooled_full);
+  const auto ra = ea.run();
+  const auto rb = eb.run();
+  ASSERT_TRUE(ra.ok()) << ra.error().message;
+  ASSERT_TRUE(rb.ok()) << rb.error().message;
+  expect_bitwise_equal(*ra, *rb, 24);
+
+  // P < N shares shards round-robin but still trains and accounts energy
+  // for every distinct server.
+  EventFleetEngineConfig pooled;
+  pooled.system = sys;
+  pooled.data_pool_shards = 6;
+  EventFleetEngine ec(pooled);
+  const auto rc = ec.run();
+  ASSERT_TRUE(rc.ok()) << rc.error().message;
+  EXPECT_EQ(rc->accumulators.size(), 24u);
+  EXPECT_GT(rc->ledger.total().value(), 0.0);
+  EXPECT_EQ(rc->training.rounds_run, 3u);
 }
 
 FeiSystemConfig faulty_config() {
@@ -368,7 +390,8 @@ FeiSystemConfig faulty_config() {
   return cfg;
 }
 
-// faulty_config() as the round-synchronous engine computed it.  Transfer
+// faulty_config() as the former round-synchronous fleet engine computed
+// it.  Transfer
 // fault plans draw from per-(server, round) counted RNG streams, so a
 // server's fault fate does not depend on scan order; FeiSystem's single
 // shared fault stream deliberately diverges, so only this golden pins the
@@ -390,29 +413,6 @@ TEST(EventFleetEngine, FaultPathMatchesGoldenFingerprint) {
   const auto r = engine.run();
   ASSERT_TRUE(r.ok()) << r.error().message;
   expect_fingerprint(*r, kGoldenFaultPath, 30);
-}
-
-TEST(EventFleetEngine, FaultPathMatchesFleetEngine) {
-  FleetEngineConfig ref_cfg;
-  ref_cfg.system = faulty_config();
-  FleetEngine reference(ref_cfg);
-  const auto ref = reference.run();
-  ASSERT_TRUE(ref.ok()) << ref.error().message;
-  expect_fingerprint(*ref, kGoldenFaultPath, 30);
-
-  EventFleetEngineConfig cfg;
-  cfg.system = faulty_config();
-  cfg.tiers.gateway_fanin = 8;
-  EventFleetEngine engine(cfg);
-  const auto r = engine.run();
-  ASSERT_TRUE(r.ok()) << r.error().message;
-
-  expect_bitwise_equal(*ref, *r, 30);
-  // The fault knobs actually fired (otherwise this proves nothing) —
-  // crashes / drops resolve their aggregation tier instead of uploading.
-  EXPECT_GT(r->total_retries + r->total_aborted_updates +
-                r->total_straggler_drops + r->total_crashed_servers,
-            0u);
 }
 
 TEST(EventFleetEngine, FaultPathThreadInvariant) {
@@ -543,7 +543,7 @@ TEST(EventFleetEngine, RejectsInvalidConfigs) {
     cfg.gateway_contention = true;
     EXPECT_FALSE(EventFleetEngine(cfg).run().ok());
   }
-  {  // CSMA + faults rejected, like FleetEngine
+  {  // CSMA + faults rejected (fault injection models FCFS only)
     EventFleetEngineConfig cfg;
     cfg.system = faulty_config();
     cfg.system.lan_contention = FeiSystemConfig::LanContention::kCsma;

@@ -183,11 +183,11 @@ TEST(Selection, RoundRobinFairOverFullCycle) {
   // Fairness: over any n consecutive rounds every client is selected the
   // same number of times ±1 — the old wrap-around refill systematically
   // over-selected low ids whenever k did not divide n.
-  for (const auto [n, k] : {std::pair<std::size_t, std::size_t>{10, 3},
-                            {7, 4},
-                            {5, 4},
-                            {12, 5},
-                            {9, 9}}) {
+  for (const auto& [n, k] : {std::pair<std::size_t, std::size_t>{10, 3},
+                             {7, 4},
+                             {5, 4},
+                             {12, 5},
+                             {9, 9}}) {
     RoundRobinSelection sel;
     std::vector<std::size_t> counts(n, 0);
     for (std::size_t round = 0; round < n; ++round) {

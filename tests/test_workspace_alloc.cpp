@@ -19,7 +19,6 @@
 #include "sim/calendar_queue.h"
 #include "sim/event_queue.h"
 #include "sim/fleet_event.h"
-#include "sim/typed_event_queue.h"
 
 namespace {
 std::atomic<std::size_t> g_allocations{0};
@@ -252,17 +251,16 @@ TEST(WorkspaceAlloc, EventQueueCascadeIsAllocationFree) {
 // N = 1k fleet, faults on, so the dispatch fans across download/train/
 // upload chains, fault outcomes, deadline drops and tier completions —
 // schedules and runs with ZERO steady-state allocations.  FleetEvent is a
-// 40-byte POD (nothing to box, unlike std::function), and both typed
-// queues only grow their backing storage, so after one warm-up round the
+// 40-byte POD (nothing to box, unlike std::function), and the calendar
+// queue only grows its backing storage, so after one warm-up round the
 // per-round schedule/drain cycle never touches the heap.  This is the
 // structural win of the typed path: the closure queue allocates whenever a
 // capture list outgrows the SBO slot, which at fleet scale is every event
 // that captures more than two words.
-template <class Q>
-std::size_t typed_fleet_round_loop_allocations() {
+TEST(WorkspaceAlloc, FleetEventCalendarRoundLoopIsAllocationFree) {
   constexpr std::size_t kServers = 1000;
   constexpr std::size_t kSelected = 100;  // K per round
-  Q queue;
+  CalendarQueue<FleetEvent> queue;
   queue.reserve(4 * kSelected);
   std::size_t fired = 0;
   Seconds round_start{0.0};
@@ -326,17 +324,7 @@ std::size_t typed_fleet_round_loop_allocations() {
   // event times; a handful of rounds discover the worst-case bucket
   // occupancies (grow-only storage), after which the cycle is warm.
   for (int i = 0; i < 8; ++i) round();
-  return steady_state_allocations(round);
-}
-
-TEST(WorkspaceAlloc, FleetEventCalendarRoundLoopIsAllocationFree) {
-  EXPECT_EQ(0u, typed_fleet_round_loop_allocations<
-                    CalendarQueue<FleetEvent>>());
-}
-
-TEST(WorkspaceAlloc, FleetEventBinaryHeapRoundLoopIsAllocationFree) {
-  EXPECT_EQ(0u, typed_fleet_round_loop_allocations<
-                    TypedEventQueue<FleetEvent>>());
+  EXPECT_EQ(0u, steady_state_allocations(round));
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
-// Typed binary-heap event queue: the reference scheduler for POD event
-// payloads.  Semantics mirror the closure-based sim::EventQueue — the same
+// Typed binary-heap event queue: a straightforward scheduler for POD event
+// payloads, kept with the tests as an oracle.  Semantics mirror the
+// closure-based sim::EventQueue — the same
 // (time, seq) FIFO total order, the same past-time clamp, the same
 // resumable run() — but events are plain values dispatched through one
 // callback instead of per-event std::function boxes, so scheduling never
