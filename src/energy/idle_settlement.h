@@ -1,8 +1,8 @@
-// Lazy idle-waiting settlement for fleet-scale engines.
+// Lazy idle-waiting settlement for the fleet engine.
 //
-// FleetEngine charges every non-selected server p_wait·round_duration at
-// the end of every round — an O(N) pass per round that dominates once N
-// reaches 10^6.  The charges are fully determined by the round durations
+// Charging every non-selected server p_wait·round_duration at the end of
+// every round is an O(N) pass per round that dominates once N reaches
+// 10^6.  The charges are fully determined by the round durations
 // alone, so they can be settled lazily: the schedule records one waiting
 // charge per completed round, and a server's ledger row is brought up to
 // date only when something actually happens to it (it gets selected, or
@@ -13,7 +13,7 @@
 //   - A server idle for rounds [a, b) then selected in round b replays
 //     charge(kWaiting, c_a), ..., charge(kWaiting, c_{b-1}) — in round
 //     order — before the round-b activity charges land.  That is the exact
-//     per-cell sequence the eager engine produced.
+//     per-cell sequence an eager per-round pass produces.
 //   - A server idle for the WHOLE run accumulates 0 + c_0 + c_1 + ... once;
 //     the schedule folds that prefix sum incrementally (all_rounds_total),
 //     so one charge of the fold hits the same bits as R sequential charges

@@ -15,7 +15,7 @@
 // (zero until someone calls charge_untouched), so per-cell addition order —
 // and therefore every bit of every readable value — is identical to the
 // eager dense ledger.  charge_untouched() is the O(1) bulk operation the
-// fleet engines' lazy idle settlement folds with: one add to the baseline
+// fleet engine's lazy idle settlement folds with: one add to the baseline
 // stands in for N_untouched identical row charges (0.0 + x == x bitwise).
 #pragma once
 

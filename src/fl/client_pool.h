@@ -1,8 +1,9 @@
 // Client access seam for the coordinator: how the FL loop reaches client k.
 //
-// The materialized world (FeiSystem, FleetEngine) owns a std::vector<Client>
-// and hands the coordinator a DenseClientPool view of it.  The event-driven
-// fleet engine runs populations (N = 1M) whose Client objects — small as
+// A materialized world (FeiSystem, or the fleet engine by default) owns a
+// std::vector<Client> and hands the coordinator a DenseClientPool view of
+// it.  The fleet engine's virtual mode runs populations (N = 1M) whose
+// Client objects — small as
 // they are — would still cost hundreds of MB up front, yet only K·T of them
 // are ever selected across a whole run.  LazyClientPool materializes a
 // client on first access instead, from the same deterministic recipe

@@ -73,7 +73,7 @@ struct CoordinatorConfig {
   /// ml::ModelBank::set_pack_cache).  Opt-in: only sound when every
   /// client's batch storage is immutable and address-stable for the whole
   /// run — true for the engines whose batches view Population-owned shards
-  /// (the fleet engines turn this on).  Bit-identical either way.
+  /// (the fleet engine turns this on).  Bit-identical either way.
   bool pack_cache = false;
 };
 

@@ -103,7 +103,7 @@ class ModelBank {
   /// Opt-in reuse of packed feature rows ACROSS rounds, keyed by the
   /// batch's (features pointer, size).  Only sound when the caller
   /// guarantees every batch's feature storage is immutable and
-  /// address-stable for the bank's lifetime — true for the fleet engines,
+  /// address-stable for the bank's lifetime — true for the fleet engine,
   /// whose batches view Population-owned shards.  Packing is deterministic
   /// and the kernels only read the packed values, so a cache hit replays
   /// the identical blocks and results stay bit-identical; the only change

@@ -1,6 +1,6 @@
 // Mergeable quantile sketch: a DDSketch-style log-bucketed histogram with a
 // bounded *relative* error, so one fixed bucket layout covers nanoseconds
-// and kilojoules alike — the fleet engines record per-server round times,
+// and kilojoules alike — the fleet engine records per-server round times,
 // upload waits and joules into these without picking bounds up front.
 //
 // Guarantee: for any recorded value v in [kMinTrackable, kMaxTrackable] and
@@ -75,7 +75,7 @@ class QuantileSketch {
   /// Thread-safe, lock-free, O(1).  NaN is dropped.
   void record(double v);
 
-  /// Amortized recorder for tight loops (the fleet engines' O(N) per-server
+  /// Amortized recorder for tight loops (the fleet engine's O(N) per-server
   /// joules pass): classifies by comparing against a precomputed bucket-
   /// bounds table instead of taking a log per value, and batches runs of
   /// same-bucket values into one atomic add — ~5x cheaper than record()

@@ -1,5 +1,5 @@
 // Round time-series recorder: a columnar per-round stats table appended
-// O(1) per round by the fleet engines, plus an online anomaly radar that
+// O(1) per round by the fleet engine, plus an online anomaly radar that
 // flags the rounds worth looking at (crash storms, deadline-miss bursts,
 // round-time and energy spikes) as the rows arrive.
 //
@@ -36,8 +36,7 @@ struct RoundStats {
   double crashes = 0.0;
   double retries = 0.0;
   double aborted = 0.0;
-  double events = 0.0;      // DES events processed this round (0 for
-                            // FleetEngine's serial scan)
+  double events = 0.0;      // DES events processed this round
   double queue_peak = 0.0;  // event-queue depth high-water this round
   double gateways = 0.0;    // tier fan-in groups active this round
   double energy_j = 0.0;    // total joules charged this round

@@ -13,7 +13,7 @@ TrackSampler::TrackSampler(std::size_t population,
   ids_.reserve(k);
 
   if (cfg.mode == TrackSamplerConfig::Mode::kStride || k == population) {
-    // Same id set the fleet engines have always used for sampled energy
+    // Same id set the fleet engine has always used for sampled energy
     // timelines: every (population / k)-th server starting at 0.
     const std::size_t stride = population / k;
     for (std::size_t i = 0; i < k; ++i) ids_.push_back(i * stride);

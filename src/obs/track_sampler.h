@@ -7,7 +7,7 @@
 //
 // Two modes:
 //  - kStride (default): ids k * (population / max_tracks) — exactly the
-//    subset the fleet engines have sampled for full energy timelines since
+//    subset the fleet engine has sampled for full energy timelines since
 //    PR 4, so default traces keep showing the same servers as before.
 //  - kReservoir: a uniform sample without replacement drawn with a private
 //    Rng(seed) via Floyd's algorithm.  The generator is owned here and

@@ -29,7 +29,7 @@ class EdgeServerSim {
   [[nodiscard]] std::size_t id() const { return id_; }
 
   /// Whether this server emits per-phase spans on its own trace track when
-  /// telemetry is enabled.  The fleet engines keep full energy timelines
+  /// telemetry is enabled.  The fleet engine keeps full energy timelines
   /// for more servers than the trace samples tracks for; mirrors outside
   /// the sampled track set are muted so no span lands on an unnamed pid.
   void set_traced(bool traced) { traced_ = traced; }

@@ -1,6 +1,6 @@
 // Shared population substrate: dataset generation, partitioning, FL
-// clients and the network topology.  FeiSystem and FleetEngine both build
-// their world through this, so the fleet engine's population is
+// clients and the network topology.  FeiSystem and EventFleetEngine both
+// build their world through this, so the fleet engine's population is
 // byte-identical to the reference system's for the same seed.
 #pragma once
 

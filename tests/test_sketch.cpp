@@ -181,7 +181,7 @@ TEST(Sketch, MergeRejectsMismatchedResolutions) {
   EXPECT_FALSE(st.ok());
 }
 
-// The fleet engines' O(N) joules pass records through BulkRecorder; it must
+// The fleet engine's O(N) joules pass records through BulkRecorder; it must
 // agree with record() on everything a snapshot exposes (boundary values can
 // legitimately land one bucket over, so the test stream avoids exact bucket
 // boundaries — as any continuous measurement does, probability one).

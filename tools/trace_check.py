@@ -28,7 +28,7 @@ import sys
 SCHEMA_VERSION = 1
 PHASE_NAMES = ("downloading", "training", "uploading")
 
-# Every column the fleet engines' RoundSeries promises to export.
+# Every column the fleet engine's RoundSeries promises to export.
 TIMESERIES_COLUMNS = (
     "round",
     "start_s",
