@@ -10,11 +10,12 @@
 //   build/bench/bench_fleet [rounds=20] [threads=0] [n100k=1] [n1m=1]
 //                           [trace=fleet.json] [overhead=1.05] [gate=1]
 //
-// Event rows additionally report the dispatch throughput (events_per_s)
-// and the queue's high-water backlog; with n1m=1 the million-server row is
-// gated IN-PROCESS against the recorded closure-queue baseline — the typed
-// calendar-queue path must hold a >= 1.5x speedup or the bench fails
-// (`gate=0` opts out on machines where the recorded baseline is foreign).
+// Headline rows additionally report the dispatch throughput
+// (events_per_s) and the queue's high-water backlog; with n1m=1 the
+// million-server row is gated IN-PROCESS against the recorded closure-queue
+// baseline — the typed calendar-queue path must hold a >= 1.5x speedup or
+// the bench fails (`gate=0` opts out on machines where the recorded
+// baseline is foreign).
 //
 // With n1m=1 and a trace path, the million-server row runs a TRACED twin:
 // telemetry on, same config.  The twin must be byte-identical to the

@@ -391,11 +391,10 @@ FeiSystemConfig faulty_config() {
 }
 
 // faulty_config() as the former round-synchronous fleet engine computed
-// it.  Transfer
-// fault plans draw from per-(server, round) counted RNG streams, so a
-// server's fault fate does not depend on scan order; FeiSystem's single
-// shared fault stream deliberately diverges, so only this golden pins the
-// fault path.
+// it.  Transfer fault plans draw from per-(server, round) counted RNG
+// streams, so a server's fault fate does not depend on scan order;
+// FeiSystem's single shared fault stream deliberately diverges, so only
+// this golden pins the fault path.
 constexpr Fingerprint kGoldenFaultPath{0x1.80ce4e5484462p+7,
                                        0x1.0c12ad81adeadp+1,
                                        0xce33268f23f7fd95ULL,

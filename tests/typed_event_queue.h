@@ -1,8 +1,8 @@
 // Typed binary-heap event queue: a straightforward scheduler for POD event
 // payloads, kept with the tests as an oracle.  Semantics mirror the
-// closure-based sim::EventQueue — the same
-// (time, seq) FIFO total order, the same past-time clamp, the same
-// resumable run() — but events are plain values dispatched through one
+// closure-based sim::EventQueue — the same (time, seq) FIFO total order,
+// the same past-time clamp, the same resumable run() — but events are
+// plain values dispatched through one
 // callback instead of per-event std::function boxes, so scheduling never
 // allocates once the heap vector is warmed up.
 //
