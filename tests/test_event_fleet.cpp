@@ -1,7 +1,8 @@
 // Event-driven fleet engine: golden byte-identity against the pre-fleet
 // FeiSystem fingerprint, bitwise equivalence with FeiSystem on overlapping
 // configurations (fault-free, CSMA), golden fingerprints of the jittered
-// N = 1k and fault-injection paths, thread-count invariance, data pooling,
+// N = 1k, jittered CSMA and fault-injection paths, thread-count
+// invariance in the default and the tiered configuration, data pooling,
 // the virtual-population contract, tier latency semantics, per-gateway
 // contention determinism, and config validation.
 #include "sim/event_fleet.h"
@@ -312,11 +313,38 @@ TEST(EventFleetEngine, MatchesFeiSystemBitwise) {
   expect_matches_fei_system(*ref, *r);
 }
 
-TEST(EventFleetEngine, CsmaContentionMatchesFeiSystem) {
+FeiSystemConfig csma_jittered_config() {
   FeiSystemConfig sys = golden_config();
   sys.lan_contention = FeiSystemConfig::LanContention::kCsma;
   sys.timing_jitter = 0.05;  // upload jitter draws in completion order
   sys.fl.max_rounds = 4;
+  return sys;
+}
+
+// csma_jittered_config() as the former round-synchronous fleet engine
+// computed it with its sorted (train_end, index) upload drain.
+constexpr Fingerprint kGoldenCsmaJittered{0x1.a2e39b550459fp+6,
+                                          0x1.57620d3b14d3ep+2,
+                                          0xe9e33f886bfd5e7eULL,
+                                          0x794b2c4a829350f9ULL,
+                                          0,
+                                          0,
+                                          0,
+                                          0};
+
+// CSMA consumes a single shared RNG in upload-completion order; bit
+// equality proves the queue's (time, FIFO) order IS the sorted drain order.
+TEST(EventFleetEngine, CsmaContentionMatchesFleetEngine) {
+  EventFleetEngineConfig cfg;
+  cfg.system = csma_jittered_config();
+  EventFleetEngine engine(cfg);
+  const auto r = engine.run();
+  ASSERT_TRUE(r.ok()) << r.error().message;
+  expect_fingerprint(*r, kGoldenCsmaJittered, 20);
+}
+
+TEST(EventFleetEngine, CsmaContentionMatchesFeiSystem) {
+  const FeiSystemConfig sys = csma_jittered_config();
 
   FeiSystem reference(sys);
   const auto ref = reference.run();
@@ -432,6 +460,96 @@ TEST(EventFleetEngine, FaultPathThreadInvariant) {
   EXPECT_EQ(ra->events_processed, rb->events_processed);
 }
 
+// --- Default configuration -------------------------------------------------
+
+// The FleetEngine suite runs the engine as bench_fleet and iot_fleet_sim
+// do: a materialized population on a shared medium behind one gateway,
+// with zero tier latencies.  The EventFleetEngine suite adds gateways,
+// regions, tier latencies and the backhaul graph on the same configs.
+
+TEST(FleetEngine, MatchesGoldenFingerprint) {
+  EventFleetEngineConfig cfg;
+  cfg.system = golden_config();
+  cfg.sampled_timelines = 20;  // keep every timeline at this scale
+  EventFleetEngine engine(cfg);
+  const auto r = engine.run();
+  ASSERT_TRUE(r.ok()) << r.error().message;
+  expect_golden(*r);
+  EXPECT_EQ(r->num_gateways, 1u);
+
+  // Every sampled timeline must agree with its streaming accumulator to
+  // the last bit.
+  ASSERT_EQ(r->sampled_timelines.size(), 20u);
+  for (std::size_t i = 0; i < r->sampled_servers.size(); ++i) {
+    const std::size_t sid = r->sampled_servers[i];
+    const auto& tl = r->sampled_timelines[i];
+    const auto& acc = r->accumulators[sid];
+    EXPECT_EQ(tl.total_energy().value(), acc.total_energy().value());
+    EXPECT_EQ(tl.total_duration().value(), acc.total_duration().value());
+  }
+}
+
+TEST(FleetEngine, ThreadCountInvariant) {
+  EventFleetEngineConfig serial;
+  serial.system = golden_config();
+  serial.system.fl.threads = 1;
+  serial.sampled_timelines = 20;
+  serial.shard_size = 3;  // force many shards even at N = 20
+  EventFleetEngine engine(serial);
+  const auto r = engine.run();
+  ASSERT_TRUE(r.ok()) << r.error().message;
+  expect_golden(*r);
+}
+
+// Without timing jitter, CSMA's shared RNG is the only stream consumed in
+// completion order.
+TEST(FleetEngine, CsmaContentionMatchesFeiSystem) {
+  FeiSystemConfig sys = golden_config();
+  sys.lan_contention = FeiSystemConfig::LanContention::kCsma;
+  sys.fl.max_rounds = 4;
+
+  FeiSystem reference(sys);
+  const auto ref = reference.run();
+  ASSERT_TRUE(ref.ok()) << ref.error().message;
+
+  EventFleetEngineConfig cfg;
+  cfg.system = sys;
+  EventFleetEngine engine(cfg);
+  const auto r = engine.run();
+  ASSERT_TRUE(r.ok()) << r.error().message;
+  expect_matches_fei_system(*ref, *r);
+}
+
+TEST(FleetEngine, FaultPathThreadInvariant) {
+  EventFleetEngineConfig a;
+  a.system = faulty_config();
+  EventFleetEngineConfig b = a;
+  b.system.fl.threads = 1;
+  b.shard_size = 4;
+
+  EventFleetEngine ea(a);
+  EventFleetEngine eb(b);
+  const auto ra = ea.run();
+  const auto rb = eb.run();
+  ASSERT_TRUE(ra.ok()) << ra.error().message;
+  ASSERT_TRUE(rb.ok()) << rb.error().message;
+  expect_bitwise_equal(*ra, *rb, 30);
+  // The fault knobs actually fired (otherwise this test proves nothing).
+  EXPECT_GT(ra->total_retries + ra->total_aborted_updates +
+                ra->total_straggler_drops + ra->total_crashed_servers,
+            0u);
+}
+
+TEST(FleetEngine, RejectsCsmaWithFaultInjection) {
+  // Fault injection models FCFS uploads only.
+  EventFleetEngineConfig cfg;
+  cfg.system = faulty_config();
+  cfg.system.lan_contention = FeiSystemConfig::LanContention::kCsma;
+  EXPECT_FALSE(EventFleetEngine(cfg).run().ok());
+}
+
+// --- Tiers, gateways and config validation --------------------------------
+
 TEST(EventFleetEngine, TierLatenciesExtendTheMakespan) {
   EventFleetEngineConfig base;
   base.system = golden_config();
@@ -540,12 +658,6 @@ TEST(EventFleetEngine, RejectsInvalidConfigs) {
     EventFleetEngineConfig cfg;
     cfg.system = faulty_config();
     cfg.gateway_contention = true;
-    EXPECT_FALSE(EventFleetEngine(cfg).run().ok());
-  }
-  {  // CSMA + faults rejected (fault injection models FCFS only)
-    EventFleetEngineConfig cfg;
-    cfg.system = faulty_config();
-    cfg.system.lan_contention = FeiSystemConfig::LanContention::kCsma;
     EXPECT_FALSE(EventFleetEngine(cfg).run().ok());
   }
   {  // virtual population requires data pooling
